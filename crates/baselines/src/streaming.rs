@@ -22,7 +22,10 @@ use tlp_store::{for_each_chunk, EdgeStream, StoreError, StreamMeta};
 
 /// Checks that `partition` covers exactly the edges of `graph`, the shared
 /// precondition of the `seeded_from` constructors.
-fn check_seeding_pair(graph: GraphView<'_>, partition: &EdgePartition) -> Result<(), PartitionError> {
+fn check_seeding_pair(
+    graph: GraphView<'_>,
+    partition: &EdgePartition,
+) -> Result<(), PartitionError> {
     if partition.num_edges() != graph.num_edges() {
         return Err(PartitionError::InvalidAssignment(format!(
             "partition covers {} edges but the seeding graph has {}",

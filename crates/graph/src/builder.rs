@@ -84,7 +84,8 @@ impl GraphBuilder {
     /// Finalizes the graph: deduplicates edges and builds the CSR arrays.
     pub fn build(self) -> CsrGraph {
         let mut edges = self.edges;
-        edges.sort_unstable();
+        // Same order as `Edge`'s derived `Ord`, compared as one word.
+        edges.sort_unstable_by_key(|e| u64::from(e.source()) << 32 | u64::from(e.target()));
         edges.dedup();
         let num_vertices = edges
             .iter()

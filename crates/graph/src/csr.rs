@@ -110,23 +110,65 @@ impl CsrGraph {
         num_vertices: usize,
         edges: Vec<Edge>,
     ) -> Result<Self, GraphError> {
-        for (i, e) in edges.iter().enumerate() {
-            if e.is_self_loop() {
-                return Err(GraphError::Invalid(format!("self-loop {e:?} at index {i}")));
-            }
-            if e.target() as usize >= num_vertices {
-                return Err(GraphError::Invalid(format!(
-                    "edge {e:?} endpoint out of range (num_vertices = {num_vertices})"
-                )));
-            }
-            if i > 0 && edges[i - 1] >= *e {
-                return Err(GraphError::Invalid(format!(
-                    "edge list not strictly sorted at index {i}: {:?} then {e:?}",
-                    edges[i - 1]
-                )));
+        check_sorted_canonical(num_vertices, &edges)?;
+        Ok(CsrGraph::from_canonical_edges(num_vertices, edges))
+    }
+
+    /// Assembles a CSR graph from its four arrays as [`CsrGraph::view`]
+    /// lends them (the `.tlpg` v2 sections), checking them in one
+    /// sequential pass instead of rebuilding the adjacency.
+    ///
+    /// `edges` must pass [`from_sorted_canonical_edges`]'s checks; then each
+    /// vertex's neighbours must be strictly ascending, each arc `(x, w, e)`
+    /// must satisfy `edges[e] == Edge::new(x, w)`, and there must be `2m`
+    /// arcs. Each edge can then appear at most once in each endpoint's list,
+    /// so `2m` arcs mean exactly once in both, and ascending order makes the
+    /// arrays equal, bit for bit, to those the builder would produce.
+    ///
+    /// [`from_sorted_canonical_edges`]: Self::from_sorted_canonical_edges
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError::Invalid`] naming the first violated condition.
+    pub fn from_csr_arrays(
+        offsets: Vec<u64>,
+        adj_vertex: Vec<VertexId>,
+        adj_edge: Vec<EdgeId>,
+        edges: Vec<Edge>,
+    ) -> Result<Self, GraphError> {
+        // Shape: offsets start at 0, never decrease and end at 2m arcs.
+        GraphView::from_sections(&offsets, &adj_vertex, &adj_edge, EdgeTable::Structs(&edges))?;
+        let num_vertices = offsets.len() - 1;
+        if VertexId::try_from(num_vertices).is_err() {
+            return Err(GraphError::Invalid(format!(
+                "{num_vertices} vertices exceed the vertex id range"
+            )));
+        }
+        check_sorted_canonical(num_vertices, &edges)?;
+        for (x, range) in offsets.windows(2).enumerate() {
+            let x = x as VertexId;
+            let range = range[0] as usize..range[1] as usize;
+            let mut prev = None;
+            for (&w, &e) in adj_vertex[range.clone()].iter().zip(&adj_edge[range]) {
+                if prev.is_some_and(|p| p >= w) {
+                    return Err(GraphError::Invalid(format!(
+                        "neighbours of vertex {x} not strictly ascending at {w}"
+                    )));
+                }
+                if edges.get(e as usize) != Some(&Edge::new(x, w)) {
+                    return Err(GraphError::Invalid(format!(
+                        "arc ({x}, {w}) names edge {e}, which does not join them"
+                    )));
+                }
+                prev = Some(w);
             }
         }
-        Ok(CsrGraph::from_canonical_edges(num_vertices, edges))
+        Ok(CsrGraph {
+            offsets,
+            adj_vertex,
+            adj_edge,
+            edges,
+        })
     }
 
     /// Number of vertices `n = |V|`, including isolated ones.
@@ -233,6 +275,28 @@ impl CsrGraph {
             EdgeTable::Structs(&self.edges),
         )
     }
+}
+
+/// Checks that `edges` is strictly ascending, loop-free and has every
+/// endpoint `< num_vertices`.
+fn check_sorted_canonical(num_vertices: usize, edges: &[Edge]) -> Result<(), GraphError> {
+    for (i, e) in edges.iter().enumerate() {
+        if e.is_self_loop() {
+            return Err(GraphError::Invalid(format!("self-loop {e:?} at index {i}")));
+        }
+        if e.target() as usize >= num_vertices {
+            return Err(GraphError::Invalid(format!(
+                "edge {e:?} endpoint out of range (num_vertices = {num_vertices})"
+            )));
+        }
+        if i > 0 && edges[i - 1] >= *e {
+            return Err(GraphError::Invalid(format!(
+                "edge list not strictly sorted at index {i}: {:?} then {e:?}",
+                edges[i - 1]
+            )));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -345,6 +409,49 @@ mod tests {
         assert!(crate::CsrGraph::from_sorted_canonical_edges(2, loop_edge).is_err());
         let out_of_range = vec![Edge::new(0, 9)];
         assert!(crate::CsrGraph::from_sorted_canonical_edges(2, out_of_range).is_err());
+    }
+
+    #[test]
+    fn from_csr_arrays_round_trips_builder_output() {
+        let g = triangle_plus_tail();
+        let rebuilt = crate::CsrGraph::from_csr_arrays(
+            g.offsets.clone(),
+            g.adj_vertex.clone(),
+            g.adj_edge.clone(),
+            g.edges.clone(),
+        )
+        .unwrap();
+        assert_eq!(g, rebuilt);
+    }
+
+    #[test]
+    fn from_csr_arrays_rejects_inconsistent_adjacency() {
+        let g = triangle_plus_tail();
+        let check = |edit: &dyn Fn(&mut crate::CsrGraph)| {
+            let mut bad = g.clone();
+            edit(&mut bad);
+            crate::CsrGraph::from_csr_arrays(bad.offsets, bad.adj_vertex, bad.adj_edge, bad.edges)
+        };
+        // Vertex 2's neighbours [0, 1, 3] out of order, ids kept in step.
+        assert!(check(&|b| {
+            b.adj_vertex.swap(4, 5);
+            b.adj_edge.swap(4, 5);
+        })
+        .is_err());
+        // An arc naming the wrong edge.
+        assert!(check(&|b| b.adj_edge.swap(0, 1)).is_err());
+        // An arc naming an edge id past the table.
+        assert!(check(&|b| b.adj_edge[0] = 99).is_err());
+        // One edge listed twice at vertex 0, missing its other endpoint.
+        assert!(check(&|b| {
+            b.adj_vertex[1] = b.adj_vertex[0];
+            b.adj_edge[1] = b.adj_edge[0];
+        })
+        .is_err());
+        // Offsets that do not cover 2m arcs.
+        assert!(check(&|b| *b.offsets.last_mut().unwrap() -= 1).is_err());
+        // An unsorted edge table, adjacency left alone.
+        assert!(check(&|b| b.edges.swap(0, 1)).is_err());
     }
 
     #[test]

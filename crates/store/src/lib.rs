@@ -11,8 +11,10 @@
 //!   decode-then-build path; [`LoadedGraph::open`] dispatches on the
 //!   header version so callers never care which they have. [`write_graph`]
 //!   emits either version in bounded-size chunks; [`StoreReader`]
-//!   validates magic, version, and per-section checksums and rebuilds a
-//!   [`tlp_graph::CsrGraph`] bit-identical to the one written.
+//!   validates magic, version, and per-section checksums and returns a
+//!   [`tlp_graph::CsrGraph`] bit-identical to the one written (rebuilt
+//!   from a v1 file's edges, taken from a v2 file's arrays after one
+//!   consistency pass).
 //!   `tlp-convert` (this crate's binary) converts text edge lists to and
 //!   from the format and upgrades v1 files in place.
 //! * **Edge streaming** — the [`EdgeStream`] trait delivers a graph's
@@ -80,9 +82,7 @@ pub use atomic::atomic_write;
 pub use checkpoint::{read_checkpoint, write_checkpoint, CHECKPOINT_NAME};
 pub use error::StoreError;
 pub use faults::{FaultFile, FaultKind, FaultSchedule};
-pub use format::{
-    FormatVersion, Header, SourceStamp, CHUNK_EDGES, MAGIC, VERSION, VERSION_V2,
-};
+pub use format::{FormatVersion, Header, SourceStamp, CHUNK_EDGES, MAGIC, VERSION, VERSION_V2};
 pub use loaded::LoadedGraph;
 pub use partition_store::{
     write_partition_store, PartitionManifest, PartitionStoreReader, SegmentEntry, MANIFEST_NAME,

@@ -65,9 +65,8 @@ pub struct SectionInfo {
 /// truncated file fails here with a typed error, not mid-read. Both format
 /// versions are supported: v1 files carry degrees + edge pairs and are
 /// decoded into a fresh [`CsrGraph`]; v2 files additionally embed the CSR
-/// arrays (the zero-copy open path lives in [`crate::GraphBuf`], which
-/// lends them without rebuilding — this reader's [`read_graph`] works on
-/// both versions via the shared edge payload).
+/// arrays, which [`read_graph`] reads in bulk and checks instead of
+/// rebuilding (the zero-copy open path lives in [`crate::GraphBuf`]).
 ///
 /// [`read_graph`]: StoreReader::read_graph
 ///
@@ -109,25 +108,23 @@ impl StoreReader {
         let n = header.num_vertices;
         let m = header.num_edges;
         let mut pos = HEADER_LEN as u64;
-        let mut section = |tag: u32,
-                           what: &'static str,
-                           expected_len: u64|
-         -> Result<SectionAt, StoreError> {
-            reader.seek(SeekFrom::Start(pos)).map_err(StoreError::Io)?;
-            let frame = SectionFrame::read_expecting(&mut reader, tag, what)?;
-            if frame.payload_len != expected_len {
-                return Err(StoreError::Corrupt(format!(
-                    "{what} section declares {} bytes, expected {expected_len}",
-                    frame.payload_len
-                )));
-            }
-            let payload_pos = pos + SECTION_FRAME_LEN as u64;
-            pos = payload_pos + frame.payload_len;
-            if pos > file_len {
-                return Err(StoreError::Truncated { what });
-            }
-            Ok(SectionAt { frame, payload_pos })
-        };
+        let mut section =
+            |tag: u32, what: &'static str, expected_len: u64| -> Result<SectionAt, StoreError> {
+                reader.seek(SeekFrom::Start(pos)).map_err(StoreError::Io)?;
+                let frame = SectionFrame::read_expecting(&mut reader, tag, what)?;
+                if frame.payload_len != expected_len {
+                    return Err(StoreError::Corrupt(format!(
+                        "{what} section declares {} bytes, expected {expected_len}",
+                        frame.payload_len
+                    )));
+                }
+                let payload_pos = pos + SECTION_FRAME_LEN as u64;
+                pos = payload_pos + frame.payload_len;
+                if pos > file_len {
+                    return Err(StoreError::Truncated { what });
+                }
+                Ok(SectionAt { frame, payload_pos })
+            };
 
         let layout = if header.version == VERSION {
             let degrees = section(TAG_DEGREES, "degrees", 4 * n)?;
@@ -263,12 +260,14 @@ impl StoreReader {
         }
     }
 
-    /// Reads the whole store back into memory: edge blocks are read in
-    /// bounded chunks, validated (canonical order, endpoint bounds, no
-    /// self-loops), checksummed, cross-checked against the per-vertex
-    /// degrees, and reassembled into a [`CsrGraph`] bit-identical to the
-    /// one written. Works on both format versions; for the zero-copy v2
-    /// open path see [`crate::GraphBuf`].
+    /// Reads the whole store back into memory as a [`CsrGraph`]
+    /// bit-identical to the one written. Every section read is
+    /// checksummed, and the edge table is validated (canonical order,
+    /// endpoint bounds, no self-loops). A v2 file's embedded CSR arrays are
+    /// taken as they are after one sequential consistency pass
+    /// ([`CsrGraph::from_csr_arrays`]); a v1 file's CSR is rebuilt from the
+    /// edges and cross-checked against its degree section. For the
+    /// zero-copy v2 open path see [`crate::GraphBuf`].
     ///
     /// # Errors
     ///
@@ -276,8 +275,44 @@ impl StoreReader {
     pub fn read_graph(&self) -> Result<StoredGraph, StoreError> {
         let n = self.header.num_vertices as usize;
         let m = self.header.num_edges as usize;
-        let stored_degrees = self.read_degrees()?;
+        let graph = match &self.layout {
+            Layout::V1 { .. } => {
+                let stored_degrees = self.read_degrees()?;
+                let graph = CsrGraph::from_sorted_canonical_edges(n, self.read_edges()?)?;
+                for (v, &stored) in stored_degrees.iter().enumerate() {
+                    let actual = graph.degree(v as VertexId) as u32;
+                    if actual != stored {
+                        return Err(StoreError::Corrupt(format!(
+                            "degree section disagrees with edge blocks at vertex {v}: \
+                             stored {stored}, edges imply {actual}"
+                        )));
+                    }
+                }
+                graph
+            }
+            Layout::V2 {
+                offsets,
+                adj_vertex,
+                adj_edge,
+                ..
+            } => CsrGraph::from_csr_arrays(
+                self.read_array(offsets, n + 1, "offsets")?,
+                self.read_array(adj_vertex, 2 * m, "adjacency vertices")?,
+                self.read_array(adj_edge, 2 * m, "adjacency edges")?,
+                self.read_edges()?,
+            )?,
+        };
+        let original_ids = self.read_original_ids()?;
+        Ok(StoredGraph {
+            graph,
+            original_ids,
+        })
+    }
 
+    /// Reads and checksums the canonical edge section. Validation is the
+    /// caller's, after the checksum gate.
+    fn read_edges(&self) -> Result<Vec<Edge>, StoreError> {
+        let m = self.header.num_edges as usize;
         let edges_at = self.edges_at();
         let mut reader = self.reader_at(edges_at.payload_pos)?;
         let mut edges: Vec<Edge> = Vec::with_capacity(m);
@@ -289,34 +324,36 @@ impl StoreReader {
             let bytes = &mut buf[..8 * take];
             read_exact_or_truncated(&mut reader, bytes, "edges")?;
             checksum.update(bytes);
-            // Validation (canonical form, bounds, strict order) happens once,
-            // in `from_sorted_canonical_edges` below, after the checksum gate.
-            for pair in bytes.chunks_exact(8) {
+            edges.extend(bytes.chunks_exact(8).map(|pair| {
                 let u = u32::from_le_bytes(pair[0..4].try_into().expect("4 bytes"));
                 let v = u32::from_le_bytes(pair[4..8].try_into().expect("4 bytes"));
-                edges.push(Edge::new(u, v));
-            }
+                Edge::new(u, v)
+            }));
             remaining -= take;
         }
         self.check(&edges_at.frame, checksum.value(), "edges")?;
+        Ok(edges)
+    }
 
-        let graph = CsrGraph::from_sorted_canonical_edges(n, edges)?;
-        for (v, &stored) in stored_degrees.iter().enumerate() {
-            let actual = graph.degree(v as VertexId) as u32;
-            if actual != stored {
-                return Err(StoreError::Corrupt(format!(
-                    "degree section disagrees with edge blocks at vertex {v}: \
-                     stored {stored}, edges imply {actual}"
-                )));
-            }
+    /// Reads an array section of `len` elements straight into its final
+    /// vector, checksumming it chunk by chunk as it lands. `open` has
+    /// checked the section's length against the header and the file. Like
+    /// [`crate::GraphBuf`], this casts the little-endian bytes in place.
+    fn read_array<T: bytemuck::Pod + Default>(
+        &self,
+        at: &SectionAt,
+        len: usize,
+        what: &'static str,
+    ) -> Result<Vec<T>, StoreError> {
+        let mut out = vec![T::default(); len];
+        let mut reader = self.reader_at(at.payload_pos)?;
+        let mut checksum = self.section_hasher();
+        for chunk in bytemuck::cast_slice_mut::<T, u8>(&mut out).chunks_mut(8 * CHUNK_EDGES) {
+            read_exact_or_truncated(&mut reader, chunk, what)?;
+            checksum.update(chunk);
         }
-
-        let original_ids = self.read_original_ids()?;
-
-        Ok(StoredGraph {
-            graph,
-            original_ids,
-        })
+        self.check(&at.frame, checksum.value(), what)?;
+        Ok(out)
     }
 
     /// Reads and checksums the optional original-ids section.

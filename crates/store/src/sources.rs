@@ -134,11 +134,11 @@ impl EdgeSource for BinaryFileSource {
 /// A SNAP-style text edge list as an [`EdgeSource`].
 ///
 /// Passes parse the file on the fly via [`TextEdgeStream`] (first-seen
-/// vertex interning; duplicate edges and self-loops are **not** removed,
-/// matching the raw stream semantics). Vertex/edge counts are unknown up
-/// front, so consumers that need them must either materialize (random
-/// access parses through the canonical deduplicating reader) or fail with
-/// [`SourceError::MissingMeta`].
+/// vertex interning, self-loops dropped; duplicate edges are **not**
+/// removed, matching the raw stream semantics). Vertex/edge counts are
+/// unknown up front, so consumers that need them must either materialize
+/// (random access parses through the canonical deduplicating reader, which
+/// numbers vertices identically) or fail with [`SourceError::MissingMeta`].
 #[derive(Debug)]
 pub struct TextFileSource {
     path: PathBuf,

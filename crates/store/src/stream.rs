@@ -17,10 +17,10 @@ use crate::faults::FaultFile;
 use crate::format::{SectionHasher, CHUNK_EDGES};
 use crate::reader::{decode_edge, StoreReader};
 use crate::StoreError;
-use std::collections::HashMap;
-use std::io::{BufRead, BufReader};
+use std::io::BufReader;
 use std::path::Path;
-use tlp_graph::{Edge, EdgeId, GraphView, VertexId};
+use tlp_graph::io::EdgeListReader;
+use tlp_graph::{Edge, EdgeId, GraphError, GraphView};
 
 /// What a stream source knows about the graph before the edges arrive.
 #[derive(Clone, Debug, Default)]
@@ -101,11 +101,7 @@ impl<'a> CsrEdgeStream<'a> {
 
     /// Custom arrival order (each id must be `< num_edges`; ids may repeat
     /// or be omitted — the stream replays exactly what it is given).
-    pub fn with_order(
-        graph: impl Into<GraphView<'a>>,
-        order: Vec<EdgeId>,
-        budget: usize,
-    ) -> Self {
+    pub fn with_order(graph: impl Into<GraphView<'a>>, order: Vec<EdgeId>, budget: usize) -> Self {
         Self::build(graph.into(), Some(order), budget)
     }
 
@@ -279,17 +275,18 @@ impl EdgeStream for BinaryEdgeStream {
 
 /// Streams a SNAP-style text edge list, interning raw ids on the fly.
 ///
-/// Matches [`tlp_graph::io::read_edge_list`]'s tolerance (comments, extra
-/// columns, self-loops dropped) **except** duplicate edges, which a
+/// Parses with [`tlp_graph::io::EdgeListReader`], the parser behind
+/// [`tlp_graph::io::read_edge_list`], so vertex ids, tolerance (comments,
+/// extra columns) and errors match it; self-loops are dropped after both
+/// endpoints are interned. Duplicate edges are **not** dropped, which a
 /// one-pass bounded-memory stream cannot detect; callers needing exact
 /// parity with the materialized parse should convert to the binary format
-/// first (`tlp-convert`), which canonicalizes once.
+/// first (`tlp-convert`), which canonicalizes once. A malformed line
+/// surfaces as [`StoreError::Graph`], a read failure (invalid UTF-8
+/// included) as [`StoreError::Io`].
 #[derive(Debug)]
 pub struct TextEdgeStream {
-    reader: BufReader<FaultFile>,
-    remap: HashMap<u64, VertexId>,
-    line_no: usize,
-    done: bool,
+    edges: EdgeListReader<FaultFile>,
     budget: usize,
     meta: StreamMeta,
 }
@@ -303,10 +300,7 @@ impl TextEdgeStream {
     pub fn open(path: &Path, budget: usize) -> Result<Self, StoreError> {
         let file = FaultFile::open(path).map_err(StoreError::Io)?;
         Ok(TextEdgeStream {
-            reader: BufReader::new(file),
-            remap: HashMap::new(),
-            line_no: 0,
-            done: false,
+            edges: EdgeListReader::new(file),
             budget: budget.max(1),
             meta: StreamMeta::default(),
         })
@@ -314,17 +308,7 @@ impl TextEdgeStream {
 
     /// Number of distinct vertices interned so far.
     pub fn vertices_seen(&self) -> usize {
-        self.remap.len()
-    }
-
-    fn intern(&mut self, raw: u64) -> Result<VertexId, StoreError> {
-        if let Some(&id) = self.remap.get(&raw) {
-            return Ok(id);
-        }
-        let id = VertexId::try_from(self.remap.len())
-            .map_err(|_| StoreError::Corrupt("more than u32::MAX distinct vertices".into()))?;
-        self.remap.insert(raw, id);
-        Ok(id)
+        self.edges.num_vertices()
     }
 }
 
@@ -339,45 +323,17 @@ impl EdgeStream for TextEdgeStream {
 
     fn next_chunk(&mut self, buf: &mut Vec<Edge>) -> Result<usize, StoreError> {
         buf.clear();
-        if self.done {
-            return Ok(0);
-        }
-        let mut line = String::new();
         while buf.len() < self.budget {
-            line.clear();
-            let read = self.reader.read_line(&mut line).map_err(StoreError::Io)?;
-            if read == 0 {
-                self.done = true;
-                break;
+            match self.edges.next_edge() {
+                Ok(Some((a, b))) if a != b => buf.push(Edge::new(a, b)),
+                Ok(Some(_)) => {}
+                Ok(None) => break,
+                Err(GraphError::Io(e)) => return Err(StoreError::Io(e)),
+                Err(e) => return Err(StoreError::Graph(e)),
             }
-            self.line_no += 1;
-            let trimmed = line.trim();
-            if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
-                continue;
-            }
-            let mut fields = trimmed.split_whitespace();
-            let a = parse_vertex(fields.next(), self.line_no, "source vertex")?;
-            let b = parse_vertex(fields.next(), self.line_no, "target vertex")?;
-            if a == b {
-                continue; // self-loop, dropped like the materialized parser
-            }
-            let a = self.intern(a)?;
-            let b = self.intern(b)?;
-            buf.push(Edge::new(a, b));
         }
         Ok(buf.len())
     }
-}
-
-fn parse_vertex(field: Option<&str>, line: usize, what: &str) -> Result<u64, StoreError> {
-    let text = field.ok_or_else(|| StoreError::Manifest {
-        line,
-        message: format!("missing {what}"),
-    })?;
-    text.parse().map_err(|_| StoreError::Manifest {
-        line,
-        message: format!("{what} is not an unsigned integer: {text:?}"),
-    })
 }
 
 #[cfg(test)]
@@ -451,8 +407,9 @@ mod tests {
         .unwrap();
         assert_eq!(seen, 3); // self-loop dropped
         assert!(peak <= 2);
-        assert_eq!(stream.vertices_seen(), 3);
-        // 10 -> 0, 20 -> 1, 30 -> 2 (first-seen interning).
+        // The loop's vertex is interned, as the materialized parse does.
+        assert_eq!(stream.vertices_seen(), 4);
+        // 10 -> 0, 20 -> 1, 30 -> 2, 5 -> 3 (first-seen interning).
         assert_eq!(all, vec![Edge::new(0, 1), Edge::new(1, 2), Edge::new(0, 2)]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -466,7 +423,10 @@ mod tests {
         let mut stream = TextEdgeStream::open(&path, 16).unwrap();
         let mut buf = Vec::new();
         let err = stream.next_chunk(&mut buf).unwrap_err();
-        assert!(matches!(err, StoreError::Manifest { line: 2, .. }));
+        assert!(matches!(
+            err,
+            StoreError::Graph(GraphError::Parse { line: 2, .. })
+        ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

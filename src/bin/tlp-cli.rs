@@ -248,9 +248,9 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
         InputFormat::Text => {
             InputGraph::Text(io::read_edge_list_file(input).map_err(|e| e.to_string())?)
         }
-        InputFormat::Bin => InputGraph::Bin(
-            LoadedGraph::open(Path::new(input)).map_err(|e| e.to_string())?,
-        ),
+        InputFormat::Bin => {
+            InputGraph::Bin(LoadedGraph::open(Path::new(input)).map_err(|e| e.to_string())?)
+        }
     };
     let graph = loaded.view();
     eprintln!(
