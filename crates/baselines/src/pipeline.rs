@@ -179,7 +179,7 @@ mod tests {
     use crate::{DbhPartitioner, EdgeOrder, GreedyPartitioner, HdrfPartitioner, RandomPartitioner};
     use tlp_core::{EdgePartitioner, PartitionMetrics};
     use tlp_graph::generators::chung_lu;
-    use tlp_graph::CsrSource;
+    use tlp_graph::{CsrSource, Edge, GraphView, PassStats};
 
     fn materialized(kind: StreamingKind, seed: u64) -> Box<dyn EdgePartitioner> {
         match kind {
@@ -213,5 +213,54 @@ mod tests {
             );
             assert!(artifact.peak_stream_buffer.is_some());
         }
+    }
+
+    /// A streaming-only source that knows nothing up front, like a strict
+    /// one-pass edge stream.
+    struct NoMetaSource;
+
+    impl EdgeSource for NoMetaSource {
+        fn describe(&self) -> String {
+            "no-meta".into()
+        }
+        fn num_vertices_hint(&self) -> Option<usize> {
+            Some(2)
+        }
+        fn num_edges_hint(&self) -> Option<usize> {
+            None
+        }
+        fn degrees_hint(&self) -> Option<Vec<u32>> {
+            None
+        }
+        fn supports_random_access(&self) -> bool {
+            false
+        }
+        fn random_access(&mut self) -> Result<GraphView<'_>, SourceError> {
+            unreachable!("random access is not supported")
+        }
+        fn stream_pass(&mut self, sink: &mut dyn FnMut(&[Edge])) -> Result<PassStats, SourceError> {
+            sink(&[Edge::new(0, 1)]);
+            Ok(PassStats {
+                edges: 1,
+                peak_buffer: 1,
+            })
+        }
+    }
+
+    #[test]
+    fn dbh_without_degrees_is_a_typed_missing_meta_error() {
+        let algo = StreamingBaseline::new(StreamingKind::Dbh, &AlgoConfig::seeded(1));
+        let err = algo
+            .run(&mut NoMetaSource, 2)
+            .expect_err("DBH needs degrees");
+        assert!(matches!(
+            err,
+            PipelineError::Source(SourceError::MissingMeta {
+                what: "degrees",
+                ..
+            })
+        ));
+        let hdrf = StreamingBaseline::new(StreamingKind::Hdrf, &AlgoConfig::seeded(1));
+        assert!(hdrf.run(&mut NoMetaSource, 2).is_ok());
     }
 }

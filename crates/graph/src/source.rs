@@ -3,17 +3,19 @@
 //! Every partitioning algorithm in the workspace consumes one of two access
 //! patterns:
 //!
-//! * **random access** — the whole graph materialized as a [`CsrGraph`]
+//! * **random access** — the whole graph materialized as a
+//!   [`CsrGraph`](crate::CsrGraph)
 //!   (TLP and the other expansion/multilevel algorithms), or
 //! * **pass-oriented streaming** — one or more sequential sweeps over the
 //!   edge sequence with a bounded buffer (the streaming baselines and the
 //!   streamed metrics accumulator).
 //!
-//! `EdgeSource` is the common handle over both. An in-memory [`CsrGraph`]
-//! implements it directly (random access is free, a streaming pass walks
-//! the edge table in natural `EdgeId` order); the on-disk sources in
-//! `tlp-store` implement it over the bounded-memory `EdgeStream` family,
-//! reporting [`supports_random_access`](EdgeSource::supports_random_access)
+//! `EdgeSource` is the common handle over both. [`CsrSource`] lends an
+//! in-memory graph (random access is free, a streaming pass walks the
+//! edge table in natural `EdgeId` order in budget-bounded chunks); the
+//! on-disk sources in `tlp-store` read a `.tlpg` file or a text edge list
+//! sequentially with a bounded buffer on every pass, reporting
+//! [`supports_random_access`](EdgeSource::supports_random_access)
 //! `false` when a strict memory budget forbids materialization. The
 //! pipeline layer in `tlp-core` dispatches on that capability instead of
 //! each binary hard-coding which algorithm can read which input.
@@ -24,7 +26,7 @@
 //! pair its second sweep with the assignments recorded in the first.
 
 use crate::view::EdgeTable;
-use crate::{CsrGraph, Edge, GraphView};
+use crate::{Edge, GraphError, GraphView};
 use std::error::Error as StdError;
 use std::fmt;
 
@@ -86,6 +88,18 @@ impl From<std::io::Error> for SourceError {
     }
 }
 
+/// A failed edge-list parse: I/O failures stay [`SourceError::Io`], a
+/// malformed line or an overflowing vertex count travels as the
+/// [`GraphError`] itself through [`SourceError::Other`].
+impl From<GraphError> for SourceError {
+    fn from(e: GraphError) -> Self {
+        match e {
+            GraphError::Io(io) => SourceError::Io(io),
+            other => SourceError::Other(Box::new(other)),
+        }
+    }
+}
+
 /// What one completed streaming pass observed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PassStats {
@@ -142,107 +156,41 @@ pub trait EdgeSource {
     fn stream_pass(&mut self, sink: &mut dyn FnMut(&[Edge])) -> Result<PassStats, SourceError>;
 }
 
-/// Chunk length an in-memory source uses for streaming passes. Chunking an
+/// Chunk length [`CsrSource::new`] uses for streaming passes. Chunking an
 /// in-memory slice costs nothing and keeps sink call patterns comparable
 /// to the disk sources.
 const CSR_PASS_CHUNK: usize = 1 << 16;
 
-fn csr_pass<'a>(graph: impl Into<GraphView<'a>>, sink: &mut dyn FnMut(&[Edge])) -> PassStats {
-    let graph = graph.into();
-    let mut peak = 0usize;
-    match graph.edge_table() {
-        // The CSR backing already holds canonical edge structs: lend
-        // slices of it directly, no copies.
-        EdgeTable::Structs(edges) => {
-            for chunk in edges.chunks(CSR_PASS_CHUNK.max(1)) {
-                peak = peak.max(chunk.len());
-                sink(chunk);
-            }
-        }
-        // The arena backing stores raw endpoint words; assemble bounded
-        // chunks of `Edge` structs so sinks see the same call pattern.
-        EdgeTable::Pairs(_) => {
-            let mut buffer = Vec::with_capacity(CSR_PASS_CHUNK.min(graph.num_edges()).max(1));
-            for edge in graph.edge_iter() {
-                buffer.push(edge);
-                if buffer.len() == CSR_PASS_CHUNK.max(1) {
-                    peak = peak.max(buffer.len());
-                    sink(&buffer);
-                    buffer.clear();
-                }
-            }
-            if !buffer.is_empty() {
-                peak = peak.max(buffer.len());
-                sink(&buffer);
-            }
-        }
-    }
-    PassStats {
-        edges: graph.num_edges(),
-        peak_buffer: peak,
-    }
-}
-
-fn csr_degrees<'a>(graph: impl Into<GraphView<'a>>) -> Vec<u32> {
-    let graph = graph.into();
-    graph
-        .vertices()
-        .map(|v| graph.degree(v) as u32)
-        .collect::<Vec<_>>()
-}
-
-/// An owned in-memory graph as an [`EdgeSource`]: random access is free,
-/// streaming passes walk the edge table in natural `EdgeId` order.
-impl EdgeSource for CsrGraph {
-    fn describe(&self) -> String {
-        format!(
-            "csr({} vertices, {} edges)",
-            self.num_vertices(),
-            self.num_edges()
-        )
-    }
-
-    fn num_vertices_hint(&self) -> Option<usize> {
-        Some(self.num_vertices())
-    }
-
-    fn num_edges_hint(&self) -> Option<usize> {
-        Some(self.num_edges())
-    }
-
-    fn degrees_hint(&self) -> Option<Vec<u32>> {
-        Some(csr_degrees(self))
-    }
-
-    fn supports_random_access(&self) -> bool {
-        true
-    }
-
-    fn random_access(&mut self) -> Result<GraphView<'_>, SourceError> {
-        Ok(self.view())
-    }
-
-    fn stream_pass(&mut self, sink: &mut dyn FnMut(&[Edge])) -> Result<PassStats, SourceError> {
-        Ok(csr_pass(self.view(), sink))
-    }
-}
-
-/// A shared borrow of any CSR-backed graph as an [`EdgeSource`].
+/// A shared borrow of any CSR-backed graph as an [`EdgeSource`]: random
+/// access is free, streaming passes walk the edge table in natural
+/// `EdgeId` order in chunks of at most the source's budget.
 ///
 /// `EdgeSource` consumers take `&mut dyn EdgeSource`, but experiment grids
-/// share one immutable graph across worker threads; this zero-cost wrapper
-/// gives each cell its own source handle over the shared graph — whether
-/// that is an owned [`CsrGraph`] or a `.tlpg` v2 arena's [`GraphView`].
+/// share one immutable graph across worker threads; this wrapper gives
+/// each cell its own source handle over the shared graph — whether that
+/// is an owned [`CsrGraph`](crate::CsrGraph) or a `.tlpg` v2 arena's
+/// [`GraphView`]. [`with_budget`](Self::with_budget) bounds the chunks to
+/// a `--stream-budget`, so a streaming algorithm's reported peak buffer
+/// honors the same bound as on the disk sources.
 #[derive(Debug)]
 pub struct CsrSource<'a> {
     graph: GraphView<'a>,
+    budget: usize,
 }
 
 impl<'a> CsrSource<'a> {
-    /// Wraps a shared graph reference or view.
+    /// Wraps a shared graph reference or view; passes deliver chunks of
+    /// up to 65 536 edges.
     pub fn new(graph: impl Into<GraphView<'a>>) -> Self {
+        Self::with_budget(graph, CSR_PASS_CHUNK)
+    }
+
+    /// Wraps a shared graph reference or view with a per-pass chunk budget
+    /// in edges (clamped to at least 1).
+    pub fn with_budget(graph: impl Into<GraphView<'a>>, budget: usize) -> Self {
         CsrSource {
             graph: graph.into(),
+            budget: budget.max(1),
         }
     }
 }
@@ -265,7 +213,12 @@ impl EdgeSource for CsrSource<'_> {
     }
 
     fn degrees_hint(&self) -> Option<Vec<u32>> {
-        Some(csr_degrees(self.graph))
+        Some(
+            self.graph
+                .vertices()
+                .map(|v| self.graph.degree(v) as u32)
+                .collect(),
+        )
     }
 
     fn supports_random_access(&self) -> bool {
@@ -277,14 +230,46 @@ impl EdgeSource for CsrSource<'_> {
     }
 
     fn stream_pass(&mut self, sink: &mut dyn FnMut(&[Edge])) -> Result<PassStats, SourceError> {
-        Ok(csr_pass(self.graph, sink))
+        let graph = self.graph;
+        let mut peak = 0usize;
+        match graph.edge_table() {
+            // The CSR backing already holds canonical edge structs: lend
+            // slices of it directly, no copies.
+            EdgeTable::Structs(edges) => {
+                for chunk in edges.chunks(self.budget) {
+                    peak = peak.max(chunk.len());
+                    sink(chunk);
+                }
+            }
+            // The arena backing stores raw endpoint words; assemble bounded
+            // chunks of `Edge` structs so sinks see the same call pattern.
+            EdgeTable::Pairs(_) => {
+                let mut buffer = Vec::with_capacity(self.budget.min(graph.num_edges()));
+                for edge in graph.edge_iter() {
+                    buffer.push(edge);
+                    if buffer.len() == self.budget {
+                        peak = peak.max(buffer.len());
+                        sink(&buffer);
+                        buffer.clear();
+                    }
+                }
+                if !buffer.is_empty() {
+                    peak = peak.max(buffer.len());
+                    sink(&buffer);
+                }
+            }
+        }
+        Ok(PassStats {
+            edges: graph.num_edges(),
+            peak_buffer: peak,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::GraphBuilder;
+    use crate::{CsrGraph, GraphBuilder};
 
     fn graph() -> CsrGraph {
         GraphBuilder::new()
@@ -293,44 +278,36 @@ mod tests {
     }
 
     #[test]
-    fn csr_graph_is_a_random_access_source() {
-        let mut g = graph();
-        assert!(g.supports_random_access());
-        assert_eq!(g.num_vertices_hint(), Some(4));
-        assert_eq!(g.num_edges_hint(), Some(5));
-        let degrees = g.degrees_hint().unwrap();
-        assert_eq!(degrees.iter().sum::<u32>() as usize, 2 * g.num_edges());
-        let same = g.random_access().unwrap();
-        assert_eq!(same.num_edges(), 5);
-        assert_eq!(same.edge_iter().count(), 5);
-    }
-
-    #[test]
-    fn csr_pass_replays_natural_order() {
-        let mut g = graph();
-        let expected = g.edges().to_vec();
-        for _ in 0..2 {
-            let mut seen = Vec::new();
-            let stats = g
-                .stream_pass(&mut |chunk| seen.extend_from_slice(chunk))
-                .unwrap();
-            assert_eq!(seen, expected);
-            assert_eq!(stats.edges, expected.len());
-            assert!(stats.peak_buffer <= expected.len());
-        }
-    }
-
-    #[test]
-    fn shared_source_matches_owned_source() {
+    fn csr_source_is_a_random_access_source() {
         let g = graph();
-        let mut shared = CsrSource::new(&g);
-        let mut seen = Vec::new();
-        shared
-            .stream_pass(&mut |chunk| seen.extend_from_slice(chunk))
-            .unwrap();
-        assert_eq!(seen, g.edges().to_vec());
-        let view = shared.random_access().unwrap();
+        let mut source = CsrSource::new(&g);
+        assert!(source.supports_random_access());
+        assert_eq!(source.num_vertices_hint(), Some(4));
+        assert_eq!(source.num_edges_hint(), Some(5));
+        let degrees = source.degrees_hint().unwrap();
+        for v in g.vertices() {
+            assert_eq!(degrees[v as usize] as usize, g.degree(v));
+        }
+        let view = source.random_access().unwrap();
         assert_eq!(view.edge_iter().collect::<Vec<_>>(), g.edges().to_vec());
+    }
+
+    #[test]
+    fn csr_pass_replays_natural_order_within_budget() {
+        let g = graph();
+        let expected = g.edges().to_vec();
+        for budget in [0usize, 1, 2, 3, usize::MAX] {
+            let mut source = CsrSource::with_budget(&g, budget);
+            for _ in 0..2 {
+                let mut seen = Vec::new();
+                let stats = source
+                    .stream_pass(&mut |chunk| seen.extend_from_slice(chunk))
+                    .unwrap();
+                assert_eq!(seen, expected);
+                assert_eq!(stats.edges, expected.len());
+                assert!(stats.peak_buffer <= budget.clamp(1, expected.len()));
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! On-disk graph store and out-of-core edge streaming for the TLP suite.
+//! On-disk graph store and out-of-core edge sources for the TLP suite.
 //!
 //! Three layers, each usable on its own:
 //!
@@ -17,14 +17,13 @@
 //!   consistency pass).
 //!   `tlp-convert` (this crate's binary) converts text edge lists to and
 //!   from the format and upgrades v1 files in place.
-//! * **Edge streaming** — the [`EdgeStream`] trait delivers a graph's
-//!   canonical edge sequence in chunks no larger than a caller-chosen
-//!   buffer budget. Sources: [`CsrEdgeStream`] (in-memory, any visit
-//!   order), [`BinaryEdgeStream`] (sequential disk reads from a `.tlpg`
-//!   file, never materializing the edge table), and [`TextEdgeStream`]
-//!   (parse-as-you-go over a text edge list). Streaming partitioners in
-//!   `tlp-baselines` consume this trait, so their peak edge-buffer memory
-//!   is `O(budget)` instead of `O(m)`.
+//! * **Disk edge sources** — [`BinaryFileSource`] and [`TextFileSource`]
+//!   implement [`tlp_graph::EdgeSource`] over a `.tlpg` file and a text
+//!   edge list. Every pass reads the file sequentially and hands its sink
+//!   chunks no larger than a caller-chosen buffer budget (a `.tlpg` pass
+//!   never materializes the edge table and verifies the edge checksum),
+//!   so the streaming partitioners in `tlp-baselines` run with peak
+//!   edge-buffer memory `O(budget)` instead of `O(m)`.
 //! * **Partition store** — [`write_partition_store`] persists a finished
 //!   partition as per-partition edge segments plus a `MANIFEST.tlp`
 //!   replica/ownership manifest; [`PartitionStoreReader`] recomputes
@@ -70,7 +69,6 @@ mod loaded;
 mod partition_store;
 mod reader;
 mod sources;
-mod stream;
 mod wal;
 mod writer;
 
@@ -88,9 +86,6 @@ pub use partition_store::{
     write_partition_store, PartitionManifest, PartitionStoreReader, SegmentEntry, MANIFEST_NAME,
 };
 pub use reader::{SectionInfo, StoreReader, StoredGraph};
-pub use sources::{BinaryFileSource, BudgetedCsrSource, TextFileSource};
-pub use stream::{
-    for_each_chunk, BinaryEdgeStream, CsrEdgeStream, EdgeStream, StreamMeta, TextEdgeStream,
-};
+pub use sources::{BinaryFileSource, TextFileSource};
 pub use wal::{read_wal, PlacementWal, WalRecord, WalReplay, WAL_MAGIC, WAL_NAME, WAL_RECORD_LEN};
 pub use writer::{write_graph, WriteOptions};

@@ -402,14 +402,28 @@ impl StoreReader {
         }
     }
 
-    /// Byte offset of the edge payload (for streaming readers).
-    pub(crate) fn edges_payload_pos(&self) -> u64 {
-        self.edges_at().payload_pos
-    }
-
-    /// Declared checksum of the edge payload (for streaming readers).
-    pub(crate) fn edges_checksum(&self) -> u64 {
-        self.edges_at().frame.checksum
+    /// A fresh buffered reader positioned at the edge payload, for one
+    /// streaming pass. The header is re-read and must match the one
+    /// validated at [`open`](Self::open); the rest of the framing (and the
+    /// degree data) is not read again.
+    ///
+    /// # Errors
+    ///
+    /// I/O and header errors, or [`StoreError::Corrupt`] if the header
+    /// changed since `open`.
+    pub(crate) fn edges_reader(&self) -> Result<BufReader<FaultFile>, StoreError> {
+        let mut reader = BufReader::new(FaultFile::open(&self.path).map_err(StoreError::Io)?);
+        let mut header_bytes = [0u8; HEADER_LEN];
+        read_exact_or_truncated(&mut reader, &mut header_bytes, "header")?;
+        if Header::decode(&header_bytes)? != self.header {
+            return Err(StoreError::Corrupt(
+                "header changed since the file was opened".into(),
+            ));
+        }
+        reader
+            .seek(SeekFrom::Start(self.edges_at().payload_pos))
+            .map_err(StoreError::Io)?;
+        Ok(reader)
     }
 
     pub(crate) fn check(

@@ -1,19 +1,22 @@
-//! Disk-backed [`EdgeSource`] implementations over the [`EdgeStream`]
-//! family, plus a budgeted wrapper for in-memory graphs.
+//! Disk-backed [`EdgeSource`] implementations: a `.tlpg` binary graph
+//! file and a SNAP-style text edge list.
 //!
-//! These adapters are what lets the unified pipeline run any streaming
-//! algorithm out-of-core: a `.tlpg` file or text edge list becomes an
-//! `EdgeSource` whose passes are bounded-memory [`BinaryEdgeStream`] /
-//! [`TextEdgeStream`] sweeps, while random access (for CSR-only
-//! algorithms) either materializes the graph once and caches it, or — in
-//! strict streaming mode — refuses with
+//! These are what lets the unified pipeline run any streaming algorithm
+//! out-of-core: every pass is one sequential read of the file that hands
+//! the sink chunks of at most `budget` edges, while random access (for
+//! CSR-only algorithms) either materializes the graph once and caches it,
+//! or — in strict streaming mode — refuses with
 //! [`SourceError::NeedsRandomAccess`] so capability violations surface as
-//! typed errors instead of silent memory blow-ups.
+//! typed errors instead of silent memory blow-ups. In-memory graphs use
+//! [`tlp_graph::CsrSource`].
 
+use crate::faults::FaultFile;
+use crate::format::{read_exact_or_truncated, CHUNK_EDGES};
 use crate::loaded::LoadedGraph;
-use crate::stream::{for_each_chunk, BinaryEdgeStream, CsrEdgeStream, EdgeStream, TextEdgeStream};
+use crate::reader::{decode_edge, StoreReader};
 use crate::StoreError;
 use std::path::{Path, PathBuf};
+use tlp_graph::io::EdgeListReader;
 use tlp_graph::{CsrGraph, Edge, EdgeSource, GraphView, PassStats, SourceError};
 
 impl From<StoreError> for SourceError {
@@ -25,33 +28,34 @@ impl From<StoreError> for SourceError {
     }
 }
 
-fn run_pass<S: EdgeStream + ?Sized>(
-    stream: &mut S,
-    sink: &mut dyn FnMut(&[Edge]),
-) -> Result<PassStats, SourceError> {
-    let (edges, peak_buffer) = for_each_chunk(stream, |chunk| {
-        sink(chunk);
-        Ok(())
-    })?;
-    Ok(PassStats { edges, peak_buffer })
+/// Hands one chunk of a disk pass to `sink`, folding it into `stats`.
+fn deliver(chunk: &[Edge], stats: &mut PassStats, sink: &mut dyn FnMut(&[Edge])) {
+    stats.edges += chunk.len();
+    stats.peak_buffer = stats.peak_buffer.max(chunk.len());
+    tlp_obs::counter("store.chunk", 1);
+    tlp_obs::counter("store.chunk_edges", chunk.len() as u64);
+    sink(chunk);
 }
 
 /// A `.tlpg` binary graph file as an [`EdgeSource`].
 ///
-/// Streaming passes re-open a fresh [`BinaryEdgeStream`] each time, so the
-/// canonical edge order replays identically (checksums verified per pass).
-/// Random access opens the file as a [`LoadedGraph`] once and caches it —
-/// a v2 file is held as a zero-copy arena whose view borrows the file
-/// bytes directly, a v1 file is decoded into an owned CSR — unless the
-/// source was opened [`strict_streaming`](Self::strict_streaming), in
-/// which case random access is refused and only bounded-memory passes are
-/// allowed.
+/// [`open`](Self::open) validates the header and framing and reads the
+/// degrees once. Each streaming pass re-opens the file, checks the header
+/// is unchanged, and reads the edge section straight off disk in chunks,
+/// so the canonical edge order replays identically. Edges are validated
+/// (canonical form, endpoint bounds, global order) as they are decoded,
+/// and the section checksum is verified on every pass before its last
+/// chunk is reported, so a flipped byte surfaces as a typed error before
+/// the pass completes. Random access opens the file as a [`LoadedGraph`]
+/// once and caches it — a v2 file is held as a zero-copy arena whose view
+/// borrows the file bytes directly, a v1 file is decoded into an owned
+/// CSR — unless the source was opened
+/// [`strict_streaming`](Self::strict_streaming), in which case random
+/// access is refused and only bounded-memory passes are allowed.
 #[derive(Debug)]
 pub struct BinaryFileSource {
-    path: PathBuf,
+    store: StoreReader,
     budget: usize,
-    num_vertices: usize,
-    num_edges: usize,
     degrees: Vec<u32>,
     strict: bool,
     cached: Option<LoadedGraph>,
@@ -59,21 +63,18 @@ pub struct BinaryFileSource {
 
 impl BinaryFileSource {
     /// Opens the file, reading header and degree metadata (but no edges).
+    /// Passes deliver chunks of at most `budget` edges (clamped to at
+    /// least 1).
     ///
     /// # Errors
     ///
     /// Any [`StoreError`] from validating the file.
     pub fn open(path: &Path, budget: usize) -> Result<Self, StoreError> {
-        let stream = BinaryEdgeStream::open(path, budget)?;
-        let meta = stream.meta();
-        let num_vertices = meta.num_vertices.unwrap_or(0);
-        let num_edges = meta.num_edges.unwrap_or(0);
-        let degrees = meta.degrees.clone().unwrap_or_default();
+        let store = StoreReader::open(path)?;
+        let degrees = store.read_degrees()?;
         Ok(BinaryFileSource {
-            path: path.to_path_buf(),
-            budget,
-            num_vertices,
-            num_edges,
+            store,
+            budget: budget.max(1),
             degrees,
             strict: false,
             cached: None,
@@ -90,15 +91,15 @@ impl BinaryFileSource {
 
 impl EdgeSource for BinaryFileSource {
     fn describe(&self) -> String {
-        format!("tlpg:{}", self.path.display())
+        format!("tlpg:{}", self.store.path().display())
     }
 
     fn num_vertices_hint(&self) -> Option<usize> {
-        Some(self.num_vertices)
+        Some(self.store.header().num_vertices as usize)
     }
 
     fn num_edges_hint(&self) -> Option<usize> {
-        Some(self.num_edges)
+        Some(self.store.header().num_edges as usize)
     }
 
     fn degrees_hint(&self) -> Option<Vec<u32>> {
@@ -116,7 +117,7 @@ impl EdgeSource for BinaryFileSource {
             });
         }
         if self.cached.is_none() {
-            self.cached = Some(LoadedGraph::open(&self.path)?);
+            self.cached = Some(LoadedGraph::open(self.store.path())?);
         }
         Ok(self
             .cached
@@ -126,19 +127,72 @@ impl EdgeSource for BinaryFileSource {
     }
 
     fn stream_pass(&mut self, sink: &mut dyn FnMut(&[Edge])) -> Result<PassStats, SourceError> {
-        let mut stream = BinaryEdgeStream::open(&self.path, self.budget)?;
-        run_pass(&mut stream, sink)
+        let store = &self.store;
+        let mut reader = store.edges_reader()?;
+        let num_vertices = store.header().num_vertices as usize;
+        let mut remaining = store.header().num_edges as usize;
+        let edges_at = store.edges_at();
+        let mut checksum = store.section_hasher();
+        let mut io_buf = vec![0u8; 8 * self.budget.min(CHUNK_EDGES)];
+        let mut chunk = Vec::new();
+        let mut prev: Option<Edge> = None;
+        let mut stats = PassStats {
+            edges: 0,
+            peak_buffer: 0,
+        };
+        loop {
+            chunk.clear();
+            let mut take = self.budget.min(remaining);
+            while take > 0 {
+                let batch = take.min(io_buf.len() / 8);
+                let bytes = &mut io_buf[..8 * batch];
+                read_exact_or_truncated(&mut reader, bytes, "edge block")?;
+                checksum.update(bytes);
+                for pair in bytes.chunks_exact(8) {
+                    let u = u32::from_le_bytes(pair[0..4].try_into().expect("4 bytes"));
+                    let v = u32::from_le_bytes(pair[4..8].try_into().expect("4 bytes"));
+                    let edge = decode_edge(u, v, num_vertices, prev)?;
+                    prev = Some(edge);
+                    chunk.push(edge);
+                }
+                remaining -= batch;
+                take -= batch;
+            }
+            let last = remaining == 0;
+            if last {
+                // The last chunk is already decoded into `chunk`; verify the
+                // section checksum now so corruption surfaces before that
+                // chunk is reported.
+                store.check(&edges_at.frame, checksum.value(), "edges")?;
+            }
+            if !chunk.is_empty() {
+                deliver(&chunk, &mut stats, sink);
+            }
+            if last {
+                return Ok(stats);
+            }
+        }
     }
 }
 
 /// A SNAP-style text edge list as an [`EdgeSource`].
 ///
-/// Passes parse the file on the fly via [`TextEdgeStream`] (first-seen
-/// vertex interning, self-loops dropped; duplicate edges are **not**
-/// removed, matching the raw stream semantics). Vertex/edge counts are
-/// unknown up front, so consumers that need them must either materialize
-/// (random access parses through the canonical deduplicating reader, which
-/// numbers vertices identically) or fail with [`SourceError::MissingMeta`].
+/// Passes parse the file on the fly with
+/// [`tlp_graph::io::EdgeListReader`], the parser behind
+/// [`tlp_graph::io::read_edge_list`], so vertex ids (first-seen interning),
+/// tolerance (comments, extra columns) and errors match it. Self-loops are
+/// dropped after both endpoints are interned; duplicate edges are **not**
+/// removed, which a one-pass bounded-memory stream cannot detect. Callers
+/// needing exact parity with the materialized parse should convert to the
+/// binary format first (`tlp-convert`), which canonicalizes once.
+/// Vertex/edge counts are unknown up front, so consumers that need them
+/// must either materialize (random access parses through the canonical
+/// deduplicating reader, which numbers vertices identically) or fail with
+/// [`SourceError::MissingMeta`].
+///
+/// On both paths a read failure (invalid UTF-8 included) is
+/// [`SourceError::Io`], and a malformed line is [`SourceError::Other`]
+/// carrying the [`tlp_graph::GraphError::Parse`] with its line number.
 #[derive(Debug)]
 pub struct TextFileSource {
     path: PathBuf,
@@ -148,10 +202,12 @@ pub struct TextFileSource {
 
 impl TextFileSource {
     /// Wraps a text edge-list path; the file is opened lazily per pass.
+    /// Passes deliver chunks of at most `budget` edges (clamped to at
+    /// least 1).
     pub fn new(path: &Path, budget: usize) -> Self {
         TextFileSource {
             path: path.to_path_buf(),
-            budget,
+            budget: budget.max(1),
             cached: None,
         }
     }
@@ -180,8 +236,7 @@ impl EdgeSource for TextFileSource {
 
     fn random_access(&mut self) -> Result<GraphView<'_>, SourceError> {
         if self.cached.is_none() {
-            let loaded = tlp_graph::io::read_edge_list_file(&self.path)
-                .map_err(|e| SourceError::Corrupt(e.to_string()))?;
+            let loaded = tlp_graph::io::read_edge_list_file(&self.path)?;
             self.cached = Some(loaded.graph);
         }
         Ok(self
@@ -192,71 +247,30 @@ impl EdgeSource for TextFileSource {
     }
 
     fn stream_pass(&mut self, sink: &mut dyn FnMut(&[Edge])) -> Result<PassStats, SourceError> {
-        let mut stream = TextEdgeStream::open(&self.path, self.budget)?;
-        run_pass(&mut stream, sink)
-    }
-}
-
-/// An in-memory graph exposed with budget-bounded passes.
-///
-/// Random access is free (the graph is already resident), but streaming
-/// passes go through [`CsrEdgeStream`] with the given budget, so chunk
-/// sizes — and therefore a streaming algorithm's reported peak buffer —
-/// honor the same `--stream-budget` bound as the disk sources.
-#[derive(Debug)]
-pub struct BudgetedCsrSource<'a> {
-    graph: GraphView<'a>,
-    budget: usize,
-}
-
-impl<'a> BudgetedCsrSource<'a> {
-    /// Wraps a shared graph (or view) with a per-pass chunk budget.
-    pub fn new(graph: impl Into<GraphView<'a>>, budget: usize) -> Self {
-        BudgetedCsrSource {
-            graph: graph.into(),
-            budget,
+        let mut edges = EdgeListReader::new(FaultFile::open(&self.path)?);
+        let mut chunk = Vec::new();
+        let mut stats = PassStats {
+            edges: 0,
+            peak_buffer: 0,
+        };
+        let mut exhausted = false;
+        while !exhausted {
+            chunk.clear();
+            while chunk.len() < self.budget {
+                match edges.next_edge()? {
+                    Some((a, b)) if a != b => chunk.push(Edge::new(a, b)),
+                    Some(_) => {}
+                    None => {
+                        exhausted = true;
+                        break;
+                    }
+                }
+            }
+            if !chunk.is_empty() {
+                deliver(&chunk, &mut stats, sink);
+            }
         }
-    }
-}
-
-impl EdgeSource for BudgetedCsrSource<'_> {
-    fn describe(&self) -> String {
-        format!(
-            "csr({} vertices, {} edges, budget {})",
-            self.graph.num_vertices(),
-            self.graph.num_edges(),
-            self.budget
-        )
-    }
-
-    fn num_vertices_hint(&self) -> Option<usize> {
-        Some(self.graph.num_vertices())
-    }
-
-    fn num_edges_hint(&self) -> Option<usize> {
-        Some(self.graph.num_edges())
-    }
-
-    fn degrees_hint(&self) -> Option<Vec<u32>> {
-        Some(
-            self.graph
-                .vertices()
-                .map(|v| self.graph.degree(v) as u32)
-                .collect(),
-        )
-    }
-
-    fn supports_random_access(&self) -> bool {
-        true
-    }
-
-    fn random_access(&mut self) -> Result<GraphView<'_>, SourceError> {
-        Ok(self.graph)
-    }
-
-    fn stream_pass(&mut self, sink: &mut dyn FnMut(&[Edge])) -> Result<PassStats, SourceError> {
-        let mut stream = CsrEdgeStream::new(self.graph, self.budget);
-        run_pass(&mut stream, sink)
+        Ok(stats)
     }
 }
 
@@ -351,16 +365,21 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_csr_source_bounds_chunks() {
-        let g = chung_lu(200, 900, 2.2, 3);
-        let mut source = BudgetedCsrSource::new(&g, 17);
-        let mut seen = Vec::new();
+    fn text_source_interns_and_drops_self_loops() {
+        let dir = temp_dir("intern");
+        let path = dir.join("g.txt");
+        std::fs::write(&path, "# header\n10 20\n20 30\n5 5\n30 10 999\n").expect("write");
+        let mut source = TextFileSource::new(&path, 2);
+        let mut all = Vec::new();
         let stats = source
-            .stream_pass(&mut |chunk| seen.extend_from_slice(chunk))
+            .stream_pass(&mut |chunk| all.extend_from_slice(chunk))
             .expect("pass");
-        assert_eq!(seen, g.edges().to_vec());
-        assert!(stats.peak_buffer <= 17);
-        let view = source.random_access().expect("ra");
-        assert_eq!(view.edge_iter().collect::<Vec<_>>(), g.edges().to_vec());
+        assert_eq!(stats.edges, 3); // self-loop dropped
+        assert!(stats.peak_buffer <= 2);
+        // 10 -> 0, 20 -> 1, 30 -> 2, 5 -> 3 (first-seen interning): the
+        // loop's vertex is interned, as the materialized parse does.
+        assert_eq!(all, vec![Edge::new(0, 1), Edge::new(1, 2), Edge::new(0, 2)]);
+        assert_eq!(source.random_access().expect("ra").num_vertices(), 4);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -4,8 +4,11 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tlp_graph::generators::erdos_renyi;
-use tlp_graph::CsrGraph;
-use tlp_store::{write_graph, FormatVersion, LoadedGraph, StoreError, StoreReader, WriteOptions};
+use tlp_graph::{CsrGraph, EdgeSource, SourceError};
+use tlp_store::{
+    write_graph, BinaryFileSource, FormatVersion, LoadedGraph, StoreError, StoreReader,
+    WriteOptions,
+};
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
 
@@ -186,4 +189,97 @@ fn empty_file_is_truncated() {
         Err(StoreError::Truncated { .. })
     ));
     cleanup(&path);
+}
+
+/// One strict streaming pass over `source`, reduced to the store error it
+/// failed with (`None` if it completed).
+fn streamed_error(source: &mut BinaryFileSource) -> Option<StoreError> {
+    match source.stream_pass(&mut |_| {}) {
+        Ok(_) => None,
+        Err(SourceError::Other(e)) => match e.downcast::<StoreError>() {
+            Ok(e) => Some(*e),
+            Err(e) => panic!("untyped stream error: {e}"),
+        },
+        Err(e) => panic!("unexpected stream error: {e}"),
+    }
+}
+
+#[test]
+fn streamed_pass_reports_edge_section_damage() {
+    let g = test_graph();
+    for path in [temp_store_v1(&g), temp_store(&g)] {
+        let clean = std::fs::read(&path).unwrap();
+        let edges = StoreReader::open(&path)
+            .unwrap()
+            .section_infos()
+            .into_iter()
+            .find(|s| s.name == "EDGE")
+            .unwrap();
+        let (start, len) = (edges.payload_pos as usize, edges.payload_len as usize);
+        // Opened on the clean file: every later pass re-reads the edges.
+        let mut source = BinaryFileSource::open(&path, 64)
+            .unwrap()
+            .strict_streaming(true);
+        assert!(streamed_error(&mut source).is_none());
+
+        // A byte changed so the edge table stays valid (one target moved up
+        // by one, still sorted and in range) only the checksum can catch.
+        let (i, e) = g
+            .edges()
+            .iter()
+            .enumerate()
+            .find(|&(i, e)| {
+                let next = (e.source(), e.target() + 1);
+                e.target() & 0xff != 0xff
+                    && (next.1 as usize) < g.num_vertices()
+                    && g.edges()
+                        .get(i + 1)
+                        .is_none_or(|f| next < (f.source(), f.target()))
+            })
+            .unwrap();
+        let mut bytes = clean.clone();
+        bytes[start + 8 * i + 4] = (e.target() + 1) as u8;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = streamed_error(&mut source);
+        assert!(
+            matches!(
+                err,
+                Some(StoreError::ChecksumMismatch {
+                    section: "edges",
+                    ..
+                })
+            ),
+            "valid-looking change of edge {i}: unexpected {err:?}"
+        );
+
+        // A flipped byte anywhere else in the edge payload fails the pass
+        // with the edge checksum, or earlier with a decode error.
+        for offset in [start, start + len / 2 + 3, start + len - 1] {
+            let mut bytes = clean.clone();
+            bytes[offset] ^= 0x40;
+            std::fs::write(&path, &bytes).unwrap();
+            let err = streamed_error(&mut source);
+            assert!(
+                matches!(
+                    err,
+                    Some(StoreError::ChecksumMismatch {
+                        section: "edges",
+                        ..
+                    }) | Some(StoreError::Corrupt(_))
+                ),
+                "flip at {offset}: unexpected {err:?}"
+            );
+        }
+
+        // A file cut inside the edge payload fails the pass as truncated.
+        for cut in [start + len / 2, clean.len() - 1] {
+            std::fs::write(&path, &clean[..cut]).unwrap();
+            let err = streamed_error(&mut source);
+            assert!(
+                matches!(err, Some(StoreError::Truncated { .. })),
+                "cut at {cut}: unexpected {err:?}"
+            );
+        }
+        cleanup(&path);
+    }
 }
