@@ -16,8 +16,8 @@
 //! arrival sequence, a streamed run is bit-identical to the materialized
 //! one at any buffer budget.
 
-use crate::util::{least_loaded, splitmix64, PartitionSet};
-use tlp_core::{EdgePartition, PartitionError, PartitionId};
+use crate::util::{least_loaded, splitmix64};
+use tlp_core::{EdgePartition, PartitionError, PartitionId, ReplicaSets};
 use tlp_graph::{EdgeId, GraphView, VertexId};
 
 /// Checks that `partition` covers exactly the edges of `graph`, the shared
@@ -34,6 +34,21 @@ fn check_seeding_pair(
         )));
     }
     Ok(())
+}
+
+/// Folds a stored assignment into placer state in one edge-major pass:
+/// `q` joins both endpoints' replica sets and counts toward `loads[q]`.
+fn fold_assignment(
+    graph: GraphView<'_>,
+    partition: &EdgePartition,
+    replicas: &mut ReplicaSets,
+    loads: &mut [usize],
+) {
+    for (edge, &q) in graph.edge_iter().zip(partition.assignments()) {
+        replicas.insert(edge.source(), q as usize);
+        replicas.insert(edge.target(), q as usize);
+        loads[q as usize] += 1;
+    }
 }
 
 /// Per-edge placement state of a streaming heuristic.
@@ -69,11 +84,12 @@ pub(crate) fn place_in_order(
 }
 
 /// HDRF placement state (see [`crate::HdrfPartitioner`] for the scoring
-/// rule). State is `O(n + p)`: replica sets, partial degrees, loads.
+/// rule). State is `O(n * ceil(p / 64) + p)`: replica sets, partial
+/// degrees, loads.
 #[derive(Clone, Debug)]
 pub struct HdrfState {
     lambda: f64,
-    replicas: Vec<PartitionSet>,
+    replicas: ReplicaSets,
     partial_degree: Vec<u32>,
     loads: Vec<usize>,
 }
@@ -105,9 +121,7 @@ impl HdrfState {
         }
         Ok(HdrfState {
             lambda,
-            replicas: (0..num_vertices)
-                .map(|_| PartitionSet::new(num_partitions))
-                .collect(),
+            replicas: ReplicaSets::new(num_vertices, num_partitions),
             partial_degree: vec![0u32; num_vertices],
             loads: vec![0usize; num_partitions],
         })
@@ -137,13 +151,9 @@ impl HdrfState {
         let graph = graph.into();
         check_seeding_pair(graph, partition)?;
         let mut state = HdrfState::new(graph.num_vertices(), partition.num_partitions(), lambda)?;
-        for (eid, edge) in graph.edge_iter().enumerate() {
-            let q = partition.partition_of(eid as u32) as usize;
-            state.partial_degree[edge.source() as usize] += 1;
-            state.partial_degree[edge.target() as usize] += 1;
-            state.loads[q] += 1;
-            state.replicas[edge.source() as usize].insert(q);
-            state.replicas[edge.target() as usize].insert(q);
+        fold_assignment(graph, partition, &mut state.replicas, &mut state.loads);
+        for (v, degree) in state.partial_degree.iter_mut().enumerate() {
+            *degree = graph.degree(v as VertexId) as u32;
         }
         Ok(state)
     }
@@ -169,10 +179,10 @@ impl StreamingPlacer for HdrfState {
         let mut best_score = f64::NEG_INFINITY;
         for q in 0..p {
             let mut c_rep = 0.0;
-            if self.replicas[u as usize].contains(q) {
+            if self.replicas.contains(u, q) {
                 c_rep += 1.0 + (1.0 - theta_u);
             }
-            if self.replicas[v as usize].contains(q) {
+            if self.replicas.contains(v, q) {
                 c_rep += 1.0 + (1.0 - theta_v);
             }
             let c_bal = self.lambda * (max_load - self.loads[q] as f64)
@@ -184,8 +194,8 @@ impl StreamingPlacer for HdrfState {
             }
         }
         self.loads[best] += 1;
-        self.replicas[u as usize].insert(best);
-        self.replicas[v as usize].insert(best);
+        self.replicas.insert(u, best);
+        self.replicas.insert(v, best);
         best as PartitionId
     }
 }
@@ -193,7 +203,7 @@ impl StreamingPlacer for HdrfState {
 /// PowerGraph-greedy placement state (see [`crate::GreedyPartitioner`]).
 #[derive(Clone, Debug)]
 pub struct GreedyState {
-    replicas: Vec<PartitionSet>,
+    replicas: ReplicaSets,
     loads: Vec<usize>,
 }
 
@@ -208,9 +218,7 @@ impl GreedyState {
             return Err(PartitionError::ZeroPartitions);
         }
         Ok(GreedyState {
-            replicas: (0..num_vertices)
-                .map(|_| PartitionSet::new(num_partitions))
-                .collect(),
+            replicas: ReplicaSets::new(num_vertices, num_partitions),
             loads: vec![0usize; num_partitions],
         })
     }
@@ -231,12 +239,7 @@ impl GreedyState {
         let graph = graph.into();
         check_seeding_pair(graph, partition)?;
         let mut state = GreedyState::new(graph.num_vertices(), partition.num_partitions())?;
-        for (eid, edge) in graph.edge_iter().enumerate() {
-            let q = partition.partition_of(eid as u32) as usize;
-            state.loads[q] += 1;
-            state.replicas[edge.source() as usize].insert(q);
-            state.replicas[edge.target() as usize].insert(q);
-        }
+        fold_assignment(graph, partition, &mut state.replicas, &mut state.loads);
         Ok(state)
     }
 }
@@ -247,23 +250,17 @@ impl StreamingPlacer for GreedyState {
     }
 
     fn place(&mut self, u: VertexId, v: VertexId) -> PartitionId {
-        let p = self.loads.len();
-        let (au, av) = (&self.replicas[u as usize], &self.replicas[v as usize]);
-        let pid = if let Some(pid) = least_loaded(&self.loads, au.intersection(av)) {
-            pid
-        } else {
-            match (au.is_empty(), av.is_empty()) {
-                (false, false) => {
-                    least_loaded(&self.loads, au.iter().chain(av.iter())).expect("non-empty")
-                }
-                (false, true) => least_loaded(&self.loads, au.iter()).expect("non-empty"),
-                (true, false) => least_loaded(&self.loads, av.iter()).expect("non-empty"),
-                (true, true) => least_loaded(&self.loads, 0..p).expect("p >= 1"),
-            }
-        };
+        let (au, av) = (self.replicas.row(u), self.replicas.row(v));
+        let words = |op: fn(u64, u64) -> u64| au.iter().zip(av).map(move |(&a, &b)| op(a, b));
+        // A(u) ∩ A(v), else A(u) ∪ A(v) (which is whichever one is
+        // non-empty if the other is), else every partition.
+        let pid = least_loaded(&self.loads, ReplicaSets::ids(words(|a, b| a & b)))
+            .or_else(|| least_loaded(&self.loads, ReplicaSets::ids(words(|a, b| a | b))))
+            .or_else(|| least_loaded(&self.loads, 0..self.loads.len()))
+            .expect("p >= 1");
         self.loads[pid] += 1;
-        self.replicas[u as usize].insert(pid);
-        self.replicas[v as usize].insert(pid);
+        self.replicas.insert(u, pid);
+        self.replicas.insert(v, pid);
         pid as PartitionId
     }
 }
@@ -419,30 +416,37 @@ mod tests {
         }
     }
 
+    /// Partition counts covering one- and multi-word replica rows.
+    const SEEDED_PS: [usize; 3] = [8, 65, 130];
+
     #[test]
     fn hdrf_seeded_state_continues_bit_identically() {
         let g = tlp_graph::generators::chung_lu(400, 1600, 2.2, 5);
         let split = g.num_edges() * 3 / 4;
-        assert_seeded_continuation(
-            &g,
-            split,
-            8,
-            |n| Box::new(HdrfState::new(n, 8, 1.1).unwrap()),
-            |pg, pp| Box::new(HdrfState::seeded_from(pg, pp, 1.1).unwrap()),
-        );
+        for p in SEEDED_PS {
+            assert_seeded_continuation(
+                &g,
+                split,
+                p,
+                |n| Box::new(HdrfState::new(n, p, 1.1).unwrap()),
+                |pg, pp| Box::new(HdrfState::seeded_from(pg, pp, 1.1).unwrap()),
+            );
+        }
     }
 
     #[test]
     fn greedy_seeded_state_continues_bit_identically() {
         let g = tlp_graph::generators::chung_lu(400, 1600, 2.2, 9);
         let split = g.num_edges() / 2;
-        assert_seeded_continuation(
-            &g,
-            split,
-            8,
-            |n| Box::new(GreedyState::new(n, 8).unwrap()),
-            |pg, pp| Box::new(GreedyState::seeded_from(pg, pp).unwrap()),
-        );
+        for p in SEEDED_PS {
+            assert_seeded_continuation(
+                &g,
+                split,
+                p,
+                |n| Box::new(GreedyState::new(n, p).unwrap()),
+                |pg, pp| Box::new(GreedyState::seeded_from(pg, pp).unwrap()),
+            );
+        }
     }
 
     #[test]

@@ -43,6 +43,7 @@ mod parallel;
 mod partition;
 mod partitioner;
 mod pipeline;
+mod replicas;
 mod single_stage;
 mod tlp;
 mod tlp_r;
@@ -68,6 +69,7 @@ pub use pipeline::{
     AlgorithmRegistry, Capability, MaterializedAlgorithm, ParamSpec, PipelineError, RunArtifact,
     TlpAlgorithm,
 };
+pub use replicas::ReplicaSets;
 pub use single_stage::{StageOneOnlyPartitioner, StageTwoOnlyPartitioner};
 pub use tlp::TwoStageLocalPartitioner;
 pub use tlp_r::EdgeRatioLocalPartitioner;

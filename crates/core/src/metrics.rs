@@ -1,7 +1,7 @@
 //! Partition quality metrics: replication factor, balance, and per-partition
 //! modularity.
 
-use crate::{EdgePartition, Modularity, PartitionId};
+use crate::{EdgePartition, Modularity, PartitionId, ReplicaSets};
 use serde::{Deserialize, Serialize};
 use tlp_graph::{GraphView, VertexId};
 
@@ -170,10 +170,8 @@ impl PartitionMetrics {
 #[derive(Clone, Debug)]
 pub struct StreamedMetrics {
     num_partitions: usize,
-    /// Words per vertex in the membership bitset.
-    words: usize,
-    /// `num_vertices * words` bitset: vertex v belongs to partition q.
-    membership: Vec<u64>,
+    /// Vertex v belongs to partition q.
+    membership: ReplicaSets,
     edge_counts: Vec<usize>,
     external: Vec<usize>,
 }
@@ -182,26 +180,19 @@ impl StreamedMetrics {
     /// Creates an accumulator for `num_vertices` vertices and
     /// `num_partitions` partitions. Memory is `O(n * p / 64 + p)`.
     pub fn new(num_vertices: usize, num_partitions: usize) -> Self {
-        let words = num_partitions.div_ceil(64).max(1);
         StreamedMetrics {
             num_partitions,
-            words,
-            membership: vec![0u64; num_vertices * words],
+            membership: ReplicaSets::new(num_vertices, num_partitions),
             edge_counts: vec![0usize; num_partitions],
             external: vec![0usize; num_partitions],
         }
     }
 
-    fn set(&mut self, v: VertexId, q: PartitionId) {
-        let base = v as usize * self.words;
-        self.membership[base + q as usize / 64] |= 1u64 << (q as usize % 64);
-    }
-
     /// Pass 1: edge `(u, v)` was assigned to partition `q`.
     pub fn observe_assignment(&mut self, u: VertexId, v: VertexId, q: PartitionId) {
         self.edge_counts[q as usize] += 1;
-        self.set(u, q);
-        self.set(v, q);
+        self.membership.insert(u, q as usize);
+        self.membership.insert(v, q as usize);
     }
 
     /// Pass 2 (after every assignment has been observed): replay edge
@@ -209,16 +200,9 @@ impl StreamedMetrics {
     /// incidence to every *other* partition it belongs to.
     pub fn observe_external(&mut self, u: VertexId, v: VertexId, q: PartitionId) {
         for w in [u, v] {
-            let base = w as usize * self.words;
-            for word_idx in 0..self.words {
-                let mut word = self.membership[base + word_idx];
-                while word != 0 {
-                    let bit = word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    let pid = word_idx * 64 + bit;
-                    if pid != q as usize {
-                        self.external[pid] += 1;
-                    }
+            for pid in ReplicaSets::ids(self.membership.row(w).iter().copied()) {
+                if pid != q as usize {
+                    self.external[pid] += 1;
                 }
             }
         }
@@ -231,16 +215,11 @@ impl StreamedMetrics {
         let mut total_replicas = 0usize;
         let mut covered_vertices = 0usize;
         let mut spanned_vertices = 0usize;
-        for vertex in self.membership.chunks_exact(self.words) {
+        for row in self.membership.rows() {
             let mut replicas = 0usize;
-            for (word_idx, &word) in vertex.iter().enumerate() {
-                let mut word = word;
-                while word != 0 {
-                    let bit = word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    vertex_counts[word_idx * 64 + bit] += 1;
-                    replicas += 1;
-                }
+            for pid in ReplicaSets::ids(row.iter().copied()) {
+                vertex_counts[pid] += 1;
+                replicas += 1;
             }
             if replicas > 0 {
                 covered_vertices += 1;

@@ -23,7 +23,7 @@ use std::time::Instant;
 use tlp_baselines::StreamingPlacer;
 use tlp_core::{EdgePartition, PartitionId};
 use tlp_graph::{CsrGraph, Edge, GraphView, VertexId};
-use tlp_obs::counter;
+use tlp_obs::{counter, span};
 use tlp_store::{
     write_partition_store, LoadedGraph, PartitionStoreReader, PlacementWal, StoreError, WalRecord,
 };
@@ -164,8 +164,11 @@ impl PartitionService {
         spec: &str,
         cache_capacity: usize,
     ) -> Result<Self, ServiceError> {
-        let placer = tlp_pipeline::seeded_streaming_placer(spec, graph.view(), &partition)
-            .map_err(|e| ServiceError::Config(e.to_string()))?;
+        let placer = {
+            let _span = span("serve.open.seed");
+            tlp_pipeline::seeded_streaming_placer(spec, graph.view(), &partition)
+                .map_err(|e| ServiceError::Config(e.to_string()))?
+        };
         Ok(PartitionService {
             graph,
             base: partition,
@@ -205,8 +208,12 @@ impl PartitionService {
     /// bad placement spec or a WAL that disagrees with the replayed
     /// placer (a mismatched store/WAL pair).
     pub fn open_store(dir: &Path, spec: &str, cache_capacity: usize) -> Result<Self, ServiceError> {
-        let reader = PartitionStoreReader::open(dir)?;
-        let (graph, partition) = reader.load()?;
+        // The graph is rebuilt by the same segment merge that yields the
+        // assignment, so the whole load is attributed to the assignment.
+        let (graph, partition) = {
+            let _span = span("serve.open.assignment");
+            PartitionStoreReader::open(dir)?.load()?
+        };
         let mut service = PartitionService::new(graph, partition, spec, cache_capacity)?;
         service.attach_store(dir)?;
         Ok(service)
@@ -230,9 +237,14 @@ impl PartitionService {
         spec: &str,
         cache_capacity: usize,
     ) -> Result<Self, ServiceError> {
-        let loaded = Arc::new(LoadedGraph::open(graph_path)?);
-        let reader = PartitionStoreReader::open(dir)?;
-        let partition = reader.load_assignment(loaded.view())?;
+        let loaded = {
+            let _span = span("serve.open.graph");
+            Arc::new(LoadedGraph::open(graph_path)?)
+        };
+        let partition = {
+            let _span = span("serve.open.assignment");
+            PartitionStoreReader::open(dir)?.load_assignment(loaded.view())?
+        };
         let mut service = Self::build(ServedGraph::Arena(loaded), partition, spec, cache_capacity)?;
         service.attach_store(dir)?;
         Ok(service)
@@ -248,6 +260,7 @@ impl PartitionService {
 
         let (wal, replay) = PlacementWal::open(dir)?;
         let state = self.state.get_mut().unwrap_or_else(|e| e.into_inner());
+        let _span = span("wal.replay");
         for record in &replay.records {
             let (source, target) = (record.u, record.v);
             // Dedup path, same as a live PlaceEdge: base-graph edges

@@ -89,7 +89,6 @@ mod tests {
 
     #[test]
     fn successful_write_lands_and_removes_temp() {
-        let _guard = faults::test_lock();
         let dir = temp_dir("ok");
         let path = dir.join("data");
         atomic_write(&path, |out| {
@@ -103,7 +102,6 @@ mod tests {
 
     #[test]
     fn failed_write_preserves_previous_file() {
-        let _guard = faults::test_lock();
         let dir = temp_dir("keep");
         let path = dir.join("data");
         std::fs::write(&path, b"old").unwrap();
@@ -124,7 +122,6 @@ mod tests {
 
     #[test]
     fn enospc_during_sync_leaves_target_absent() {
-        let _guard = faults::test_lock();
         let dir = temp_dir("nospc");
         let path = dir.join("data");
         faults::arm(FaultSchedule {

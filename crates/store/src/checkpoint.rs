@@ -182,7 +182,6 @@ mod tests {
     #![allow(clippy::unwrap_used)]
 
     use super::*;
-    use crate::faults;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("tlp-ckpt-{tag}-{}", std::process::id()));
@@ -206,7 +205,6 @@ mod tests {
 
     #[test]
     fn roundtrip_is_exact() {
-        let _guard = faults::test_lock();
         let dir = temp_dir("rt");
         let ckpt = sample();
         write_checkpoint(&dir, &ckpt).unwrap();
@@ -216,7 +214,6 @@ mod tests {
 
     #[test]
     fn missing_checkpoint_is_none() {
-        let _guard = faults::test_lock();
         let dir = temp_dir("none");
         assert!(read_checkpoint(&dir).unwrap().is_none());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -224,7 +221,6 @@ mod tests {
 
     #[test]
     fn flipped_byte_fails_the_checksum() {
-        let _guard = faults::test_lock();
         let dir = temp_dir("flip");
         write_checkpoint(&dir, &sample()).unwrap();
         let path = dir.join(CHECKPOINT_NAME);
@@ -240,7 +236,6 @@ mod tests {
 
     #[test]
     fn truncated_file_is_typed() {
-        let _guard = faults::test_lock();
         let dir = temp_dir("trunc");
         write_checkpoint(&dir, &sample()).unwrap();
         let path = dir.join(CHECKPOINT_NAME);
@@ -259,7 +254,6 @@ mod tests {
 
     #[test]
     fn rewrite_replaces_previous_checkpoint() {
-        let _guard = faults::test_lock();
         let dir = temp_dir("rw");
         let mut ckpt = sample();
         write_checkpoint(&dir, &ckpt).unwrap();

@@ -1,10 +1,10 @@
 //! Deterministic fault injection for store I/O.
 //!
 //! Every file the store opens for reading or writing goes through
-//! [`FaultFile`], a thin wrapper that consults a process-global injector
-//! before each read/write operation. Unarmed (the default) the wrapper is a
-//! single relaxed atomic load per operation; armed, it counts operations
-//! and fires one scheduled [`FaultKind`] at the configured index:
+//! [`FaultFile`], a thin wrapper that consults the calling thread's
+//! injector before each read/write operation. Unarmed (the default) the
+//! wrapper is a single thread-local read per operation; armed, it counts
+//! operations and fires one scheduled [`FaultKind`] at the configured index:
 //!
 //! * **fail-stop faults** ([`FaultKind::Crash`], [`FaultKind::ShortWrite`],
 //!   [`FaultKind::Enospc`]) — the operation (and every store I/O operation
@@ -21,13 +21,15 @@
 //! uses this to place a fault at *every* operation index in turn and assert
 //! that no torn or corrupt file is ever read back silently.
 //!
-//! The injector is process-global, so tests that arm it must serialize
-//! (see [`test_lock`]).
+//! The injector is scoped to the thread that arms it: only I/O made on that
+//! thread counts or faults, so tests running in parallel never see each
+//! other's schedules. A fault test must therefore arm and do its I/O on one
+//! thread.
 
+use std::cell::Cell;
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// What the injector does when the scheduled operation index is reached.
@@ -60,36 +62,43 @@ pub struct FaultSchedule {
     pub seed: u64,
 }
 
-/// Injector state: armed flag + op counter + the schedule.
-static ARMED: AtomicBool = AtomicBool::new(false);
-static FAILED: AtomicBool = AtomicBool::new(false);
-static OPS: AtomicU64 = AtomicU64::new(0);
-static SCHEDULE: Mutex<Option<FaultSchedule>> = Mutex::new(None);
+/// An armed injector: the schedule, the operations counted so far, and
+/// whether a fail-stop fault has fired.
+#[derive(Clone, Copy)]
+struct Armed {
+    schedule: FaultSchedule,
+    ops: u64,
+    failed: bool,
+}
 
-/// Serializes tests that arm the injector (it is process-global).
+thread_local! {
+    /// This thread's injector; `None` while unarmed.
+    static INJECTOR: Cell<Option<Armed>> = const { Cell::new(None) };
+}
+
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
-/// Lock held by tests while the injector is armed, so concurrently running
-/// tests do not observe each other's faults.
+/// Lock held by a fault test for its whole run. The injector is per
+/// thread, so this is not needed for isolation; it only keeps the heavy
+/// crash sweeps that take it from running at the same time.
 pub fn test_lock() -> MutexGuard<'static, ()> {
     TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Arms the injector with `schedule`, resetting the operation counter.
+/// Arms the calling thread's injector with `schedule`, resetting its
+/// operation counter.
 pub fn arm(schedule: FaultSchedule) {
-    *SCHEDULE.lock().unwrap_or_else(|e| e.into_inner()) = Some(schedule);
-    OPS.store(0, Ordering::SeqCst);
-    FAILED.store(false, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    INJECTOR.set(Some(Armed {
+        schedule,
+        ops: 0,
+        failed: false,
+    }));
 }
 
-/// Disarms the injector and returns the number of I/O operations observed
-/// while armed.
+/// Disarms the calling thread's injector and returns the number of I/O
+/// operations it observed while armed.
 pub fn disarm() -> u64 {
-    ARMED.store(false, Ordering::SeqCst);
-    FAILED.store(false, Ordering::SeqCst);
-    *SCHEDULE.lock().unwrap_or_else(|e| e.into_inner()) = None;
-    OPS.load(Ordering::SeqCst)
+    INJECTOR.take().map_or(0, |armed| armed.ops)
 }
 
 /// Counts the I/O operations `work` performs, without injecting anything.
@@ -132,32 +141,27 @@ fn injected_error(kind: FaultKind) -> io::Error {
     }
 }
 
-/// Consults the injector for the next operation.
+/// Consults the calling thread's injector for the next operation.
 fn next_action() -> Action {
-    if !ARMED.load(Ordering::Relaxed) {
+    let Some(mut armed) = INJECTOR.get() else {
         return Action::Pass;
-    }
-    if FAILED.load(Ordering::SeqCst) {
+    };
+    if armed.failed {
         // A fail-stop fault already fired: everything after it fails too.
         return Action::Fail(io::Error::other("injected fault: I/O after crash point"));
     }
-    let op = OPS.fetch_add(1, Ordering::SeqCst);
-    let Some(schedule) = *SCHEDULE.lock().unwrap_or_else(|e| e.into_inner()) else {
-        return Action::Pass;
-    };
+    let op = armed.ops;
+    armed.ops += 1;
+    let schedule = armed.schedule;
+    armed.failed = op == schedule.at_op && schedule.kind != FaultKind::BitFlip;
+    INJECTOR.set(Some(armed));
     if op != schedule.at_op {
         return Action::Pass;
     }
     match schedule.kind {
         FaultKind::BitFlip => Action::Flip(mix(schedule.seed ^ op)),
-        FaultKind::ShortWrite => {
-            FAILED.store(true, Ordering::SeqCst);
-            Action::Short
-        }
-        kind => {
-            FAILED.store(true, Ordering::SeqCst);
-            Action::Fail(injected_error(kind))
-        }
+        FaultKind::ShortWrite => Action::Short,
+        kind => Action::Fail(injected_error(kind)),
     }
 }
 
@@ -166,7 +170,7 @@ fn next_action() -> Action {
 /// All store I/O (graph writer/reader, edge streams, partition segments,
 /// checkpoints) is constructed through [`FaultFile::create`] /
 /// [`FaultFile::open`], so a single armed schedule covers the whole
-/// subsystem.
+/// subsystem on the arming thread.
 #[derive(Debug)]
 pub struct FaultFile {
     inner: File,
@@ -332,7 +336,6 @@ mod tests {
 
     #[test]
     fn unarmed_files_behave_normally() {
-        let _guard = test_lock();
         let dir = temp("plain");
         let path = dir.join("f");
         let mut f = FaultFile::create(&path).unwrap();
@@ -350,7 +353,6 @@ mod tests {
 
     #[test]
     fn crash_fault_fails_the_scheduled_and_later_ops() {
-        let _guard = test_lock();
         let dir = temp("crash");
         let path = dir.join("f");
         arm(FaultSchedule {
@@ -371,7 +373,6 @@ mod tests {
 
     #[test]
     fn short_write_leaves_a_prefix() {
-        let _guard = test_lock();
         let dir = temp("short");
         let path = dir.join("f");
         arm(FaultSchedule {
@@ -389,7 +390,6 @@ mod tests {
 
     #[test]
     fn enospc_fault_carries_the_os_error() {
-        let _guard = test_lock();
         let dir = temp("enospc");
         let path = dir.join("f");
         arm(FaultSchedule {
@@ -406,7 +406,6 @@ mod tests {
 
     #[test]
     fn bit_flip_corrupts_exactly_one_bit_and_succeeds() {
-        let _guard = test_lock();
         let dir = temp("flip");
         let path = dir.join("f");
         arm(FaultSchedule {
@@ -426,7 +425,6 @@ mod tests {
 
     #[test]
     fn count_ops_reports_and_injects_nothing() {
-        let _guard = test_lock();
         let dir = temp("count");
         let path = dir.join("f");
         let (result, ops) = count_ops(|| {
@@ -442,8 +440,31 @@ mod tests {
     }
 
     #[test]
+    fn a_schedule_faults_only_the_arming_thread() {
+        let dir = temp("thread");
+        arm(FaultSchedule {
+            at_op: 0,
+            kind: FaultKind::Crash,
+            seed: 0,
+        });
+        // Another thread's I/O neither faults nor counts while armed here.
+        std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let mut f = FaultFile::create(&dir.join("other")).unwrap();
+                    f.write_all(b"fine").unwrap();
+                })
+                .join()
+                .unwrap();
+        });
+        assert!(FaultFile::create(&dir.join("mine")).is_err());
+        assert_eq!(disarm(), 1);
+        assert_eq!(std::fs::read(dir.join("other")).unwrap(), b"fine");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn read_bit_flip_corrupts_the_read_buffer() {
-        let _guard = test_lock();
         let dir = temp("rflip");
         let path = dir.join("f");
         std::fs::write(&path, [0u8; 8]).unwrap();

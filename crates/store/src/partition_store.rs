@@ -32,7 +32,7 @@ use crate::format::Checksum;
 use crate::StoreError;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use tlp_core::{EdgePartition, PartitionId, PartitionMetrics};
+use tlp_core::{EdgePartition, PartitionId, PartitionMetrics, ReplicaSets};
 use tlp_graph::{CsrGraph, Edge, GraphView};
 
 /// Name of the manifest file inside a store directory.
@@ -41,6 +41,8 @@ pub const MANIFEST_NAME: &str = "MANIFEST.tlp";
 const MANIFEST_HEADER: &str = "tlp-partition-store v1";
 /// Magic prefix of a segment file.
 const SEGMENT_MAGIC: [u8; 8] = *b"TLPSEG\x00\x01";
+/// Segment header: magic, partition id, reserved word, record count.
+const SEGMENT_HEADER_LEN: usize = 24;
 
 /// One per-partition edge segment as recorded in the manifest.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -403,26 +405,64 @@ impl PartitionStoreReader {
     }
 
     /// Loads every segment and reconstructs the exact `(graph, assignment)`
-    /// pair the store was written from.
+    /// pair the store was written from, in one k-way merge over the
+    /// segments (each already in canonical order).
     ///
     /// # Errors
     ///
-    /// Typed [`StoreError`]s for missing/corrupt segments or inconsistent
-    /// edge sets.
+    /// Typed [`StoreError`]s for missing/corrupt segments;
+    /// [`StoreError::Corrupt`] for a segment out of canonical order, an
+    /// invalid or duplicated edge, or segments whose replica summary
+    /// differs from the manifest's (an edge was lost).
     pub fn load(&self) -> Result<(CsrGraph, EdgePartition), StoreError> {
-        let labeled = self.load_labeled()?;
-        let edges: Vec<Edge> = labeled.iter().map(|&(e, _)| e).collect();
-        let assignment: Vec<PartitionId> = labeled.iter().map(|&(_, pid)| pid).collect();
-        let graph = CsrGraph::from_sorted_canonical_edges(self.manifest.num_vertices, edges)?;
+        let n = self.manifest.num_vertices;
+        let mut merge = SegmentMerge::read(self)?;
+        let mut edges: Vec<Edge> = Vec::with_capacity(self.manifest.num_edges);
+        let mut assignment: Vec<PartitionId> = Vec::with_capacity(self.manifest.num_edges);
+        let mut replicas = ReplicaSets::new(n, self.manifest.num_partitions);
+        for _ in 0..self.manifest.num_edges {
+            let k = merge.min_head();
+            let (u, v) = record_endpoints(merge.heads[k]);
+            if u >= v || v as usize >= n {
+                return Err(StoreError::Corrupt(format!(
+                    "segment {} contains invalid edge ({u}, {v})",
+                    self.manifest.segments[k].file
+                )));
+            }
+            let edge = Edge::new(u, v);
+            if edges.last() == Some(&edge) {
+                return Err(StoreError::Corrupt(format!(
+                    "edge ({u}, {v}) appears in partitions {} and {k}",
+                    assignment[assignment.len() - 1]
+                )));
+            }
+            merge.advance(k)?;
+            replicas.insert(u, k);
+            replicas.insert(v, k);
+            edges.push(edge);
+            assignment.push(k as PartitionId);
+        }
+        let (covered, total) = replicas.rows().fold((0, 0), |(covered, total), row| {
+            let len: usize = row.iter().map(|w| w.count_ones() as usize).sum();
+            (covered + usize::from(len > 0), total + len)
+        });
+        if (covered, total) != (self.manifest.covered_vertices, self.manifest.total_replicas) {
+            return Err(StoreError::Corrupt(format!(
+                "segments cover {covered} vertices with {total} replicas, manifest records {} \
+                 and {}",
+                self.manifest.covered_vertices, self.manifest.total_replicas
+            )));
+        }
+        let graph = CsrGraph::from_sorted_canonical_edges(n, edges)?;
         let partition = EdgePartition::new(self.manifest.num_partitions, assignment)
             .map_err(|e| StoreError::Corrupt(format!("invalid stored assignment: {e}")))?;
         Ok((graph, partition))
     }
 
     /// Loads only the edge assignment, validated against an existing
-    /// `graph` instead of rebuilding a CSR from the segments. Edge `i` of
-    /// the canonical table must appear in exactly one segment; the
-    /// returned partition maps it to that segment's id.
+    /// `graph` instead of rebuilding a CSR from the segments: the graph's
+    /// edges are walked in id order, and each must be the head of exactly
+    /// one segment, whose id it takes. Every segment must be used up.
     ///
     /// This is the zero-copy companion of [`PartitionStoreReader::load`]:
     /// a service holding a `.tlpg` v2 arena can pair it with the store's
@@ -430,56 +470,45 @@ impl PartitionStoreReader {
     ///
     /// # Errors
     ///
-    /// Everything [`PartitionStoreReader::load`] reports, plus
+    /// Typed [`StoreError`]s for missing/corrupt segments, and
     /// [`StoreError::Corrupt`] when the stored edge set differs from
-    /// `graph`'s (the store and the graph file do not belong together).
+    /// `graph`'s (the store and the graph file do not belong together) or
+    /// a segment is out of canonical order.
     pub fn load_assignment<'a>(
         &self,
         graph: impl Into<GraphView<'a>>,
     ) -> Result<EdgePartition, StoreError> {
         let graph = graph.into();
-        let labeled = self.load_labeled()?;
-        if labeled.len() != graph.num_edges() {
-            return Err(StoreError::Corrupt(format!(
-                "store holds {} edges but the graph has {}",
-                labeled.len(),
-                graph.num_edges()
-            )));
-        }
-        // Both sides are in canonical sorted order, so edge ids line up.
-        for (eid, (&(stored, _), edge)) in labeled.iter().zip(graph.edge_iter()).enumerate() {
-            if stored != edge {
+        let mut merge = SegmentMerge::read(self)?;
+        let mut assignment: Vec<PartitionId> = Vec::with_capacity(graph.num_edges());
+        for (eid, edge) in graph.edge_iter().enumerate() {
+            let word = record_word(edge);
+            // Branch-free: count the heads equal to the edge, remember one.
+            let (mut hits, mut at) = (0u32, 0usize);
+            for (k, &head) in merge.heads.iter().enumerate() {
+                let hit = head == word;
+                hits += u32::from(hit);
+                at = if hit { k } else { at };
+            }
+            if hits != 1 {
                 return Err(StoreError::Corrupt(format!(
-                    "edge {eid} is {:?} in the store but {:?} in the graph — \
-                     store and graph do not belong together",
-                    stored.endpoints(),
+                    "edge {eid} {:?} of the graph heads {hits} segments, not 1 — the store \
+                     misses or repeats it, or does not belong to the graph",
                     edge.endpoints()
                 )));
             }
+            merge.advance(at)?;
+            assignment.push(at as PartitionId);
         }
-        let assignment: Vec<PartitionId> = labeled.iter().map(|&(_, pid)| pid).collect();
+        if let Some(k) = (0..merge.heads.len()).find(|&k| !merge.exhausted(k)) {
+            return Err(StoreError::Corrupt(format!(
+                "segment {} holds edge {:?}, which the graph does not have",
+                self.manifest.segments[k].file,
+                record_endpoints(merge.heads[k])
+            )));
+        }
         EdgePartition::new(self.manifest.num_partitions, assignment)
             .map_err(|e| StoreError::Corrupt(format!("invalid stored assignment: {e}")))
-    }
-
-    /// Reads every segment, returning `(edge, partition)` pairs in
-    /// canonical edge order, with duplicate edges rejected.
-    fn load_labeled(&self) -> Result<Vec<(Edge, PartitionId)>, StoreError> {
-        let m = self.manifest.num_edges;
-        let mut labeled: Vec<(Edge, PartitionId)> = Vec::with_capacity(m);
-        for entry in &self.manifest.segments {
-            self.read_segment(entry, &mut labeled)?;
-        }
-        labeled.sort_unstable();
-        for pair in labeled.windows(2) {
-            if pair[0].0 == pair[1].0 {
-                return Err(StoreError::Corrupt(format!(
-                    "edge {:?} appears in partitions {} and {}",
-                    pair[0].0, pair[0].1, pair[1].1
-                )));
-            }
-        }
-        Ok(labeled)
     }
 
     /// Recomputes the full quality metrics (RF, balance, per-partition
@@ -495,14 +524,13 @@ impl PartitionStoreReader {
         Ok(PartitionMetrics::compute(&graph, &partition))
     }
 
-    fn read_segment(
-        &self,
-        entry: &SegmentEntry,
-        out: &mut Vec<(Edge, PartitionId)>,
-    ) -> Result<(), StoreError> {
+    /// Reads and checksums one segment file, returning its bytes: the
+    /// header, then `entry.edges` records from [`SEGMENT_HEADER_LEN`] on,
+    /// then the checksum.
+    fn read_segment(&self, entry: &SegmentEntry) -> Result<Vec<u8>, StoreError> {
         let bytes = std::fs::read(self.dir.join(&entry.file)).map_err(StoreError::Io)?;
-        let expected_len = 8 + 4 + 4 + 8 + 8 * entry.edges + 8;
-        if bytes.len() < 24 {
+        let expected_len = SEGMENT_HEADER_LEN + 8 * entry.edges + 8;
+        if bytes.len() < SEGMENT_HEADER_LEN {
             return Err(StoreError::Truncated {
                 what: "segment header",
             });
@@ -531,7 +559,7 @@ impl PartitionStoreReader {
                 what: "segment payload",
             });
         }
-        let payload = &bytes[24..24 + 8 * count];
+        let payload = &bytes[SEGMENT_HEADER_LEN..expected_len - 8];
         let declared = u64::from_le_bytes(bytes[expected_len - 8..].try_into().expect("8 bytes"));
         let actual = Checksum::of(payload);
         if declared != actual {
@@ -541,16 +569,87 @@ impl PartitionStoreReader {
                 actual,
             });
         }
-        for pair in payload.chunks_exact(8) {
-            let u = u32::from_le_bytes(pair[0..4].try_into().expect("4 bytes"));
-            let v = u32::from_le_bytes(pair[4..8].try_into().expect("4 bytes"));
-            if u >= v || v as usize >= self.manifest.num_vertices {
-                return Err(StoreError::Corrupt(format!(
-                    "segment {} contains invalid edge ({u}, {v})",
-                    entry.file
-                )));
-            }
-            out.push((Edge::new(u, v), entry.partition));
+        Ok(bytes)
+    }
+}
+
+/// Head of a segment whose records are all consumed. It reads as the
+/// record `(u32::MAX, u32::MAX)`, which is never a valid edge.
+const EXHAUSTED: u64 = u64::MAX;
+
+/// An edge as a segment record: the little-endian `[u, v]` pair read as
+/// one `u64`, also the layout of a `.tlpg` v2 edge-table pair.
+fn record_word(edge: Edge) -> u64 {
+    u64::from(edge.source()) | u64::from(edge.target()) << 32
+}
+
+/// The `(u, v)` endpoints of a record.
+fn record_endpoints(word: u64) -> (u32, u32) {
+    (word as u32, (word >> 32) as u32)
+}
+
+/// The k-way merge behind both loaders: every segment read and
+/// checksummed, kept as raw bytes, with one head record per segment.
+/// Records are compared as words; `rotate_left(32)` is the canonical
+/// `(u, v)` sort key.
+struct SegmentMerge<'a> {
+    segments: &'a [SegmentEntry],
+    files: Vec<Vec<u8>>,
+    /// Index of each segment's head record.
+    cursors: Vec<usize>,
+    /// Each segment's head record, or [`EXHAUSTED`].
+    heads: Vec<u64>,
+}
+
+impl<'a> SegmentMerge<'a> {
+    fn read(reader: &'a PartitionStoreReader) -> Result<Self, StoreError> {
+        let segments = &reader.manifest.segments[..];
+        let files = segments.iter().map(|entry| reader.read_segment(entry));
+        let mut merge = SegmentMerge {
+            segments,
+            files: files.collect::<Result<_, _>>()?,
+            cursors: vec![0; segments.len()],
+            heads: vec![],
+        };
+        merge.heads = (0..segments.len()).map(|k| merge.record(k, 0)).collect();
+        Ok(merge)
+    }
+
+    /// Record `i` of segment `k`, or [`EXHAUSTED`] past its end.
+    fn record(&self, k: usize, i: usize) -> u64 {
+        let at = SEGMENT_HEADER_LEN + 8 * i;
+        if i < self.segments[k].edges {
+            u64::from_le_bytes(self.files[k][at..at + 8].try_into().expect("8 bytes"))
+        } else {
+            EXHAUSTED
+        }
+    }
+
+    fn exhausted(&self, k: usize) -> bool {
+        self.cursors[k] == self.segments[k].edges
+    }
+
+    /// The segment whose head sorts first (lowest id on ties).
+    fn min_head(&self) -> usize {
+        let keys = self.heads.iter().map(|head| head.rotate_left(32));
+        keys.enumerate()
+            .min_by_key(|&(_, key)| key)
+            .map_or(0, |(k, _)| k)
+    }
+
+    /// Consumes segment `k`'s head, checking that the record after it
+    /// sorts strictly later (the segment invariant).
+    fn advance(&mut self, k: usize) -> Result<(), StoreError> {
+        let consumed = self.heads[k];
+        self.cursors[k] += 1;
+        self.heads[k] = self.record(k, self.cursors[k]);
+        if !self.exhausted(k) && self.heads[k].rotate_left(32) <= consumed.rotate_left(32) {
+            return Err(StoreError::Corrupt(format!(
+                "segment {} is not in canonical order: edge {:?} follows {:?}",
+                self.segments[k].file,
+                record_endpoints(self.heads[k]),
+                record_endpoints(consumed)
+            )));
         }
         Ok(())
     }
@@ -576,6 +675,165 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// The sort-based loader the k-way merge replaced, kept as an oracle:
+    /// every segment's `(edge, partition)` pairs, sorted, duplicates
+    /// rejected.
+    fn oracle_labeled(
+        reader: &PartitionStoreReader,
+    ) -> Result<Vec<(Edge, PartitionId)>, StoreError> {
+        let mut labeled = Vec::new();
+        for entry in &reader.manifest.segments {
+            let bytes = reader.read_segment(entry)?;
+            for pair in bytes[SEGMENT_HEADER_LEN..bytes.len() - 8].chunks_exact(8) {
+                let (u, v) = record_endpoints(u64::from_le_bytes(pair.try_into().unwrap()));
+                if u >= v || v as usize >= reader.manifest.num_vertices {
+                    return Err(StoreError::Corrupt(format!("invalid edge ({u}, {v})")));
+                }
+                labeled.push((Edge::new(u, v), entry.partition));
+            }
+        }
+        labeled.sort_unstable();
+        if labeled.windows(2).any(|pair| pair[0].0 == pair[1].0) {
+            return Err(StoreError::Corrupt("duplicate edge".into()));
+        }
+        Ok(labeled)
+    }
+
+    fn oracle_load(reader: &PartitionStoreReader) -> (CsrGraph, EdgePartition) {
+        let (edges, assignment): (Vec<Edge>, Vec<PartitionId>) =
+            oracle_labeled(reader).unwrap().into_iter().unzip();
+        let graph =
+            CsrGraph::from_sorted_canonical_edges(reader.manifest.num_vertices, edges).unwrap();
+        let partition = EdgePartition::new(reader.manifest.num_partitions, assignment).unwrap();
+        (graph, partition)
+    }
+
+    fn oracle_load_assignment(reader: &PartitionStoreReader, graph: &CsrGraph) -> EdgePartition {
+        let labeled = oracle_labeled(reader).unwrap();
+        assert!(labeled
+            .iter()
+            .map(|&(e, _)| e)
+            .eq(graph.edges().iter().copied()));
+        let assignment = labeled.into_iter().map(|(_, pid)| pid).collect();
+        EdgePartition::new(reader.manifest.num_partitions, assignment).unwrap()
+    }
+
+    #[test]
+    fn merge_loaders_match_the_sort_based_oracle() {
+        for (seed, p) in [1usize, 3, 16, 65, 130].into_iter().enumerate() {
+            let g = tlp_graph::generators::chung_lu(300, 1200, 2.2, seed as u64 + 40);
+            // A multiplicative scatter; at p = 130 some segments stay empty.
+            let assignment = (0..g.num_edges() as u64)
+                .map(|e| ((e.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % p as u64) as PartitionId)
+                .collect();
+            let part = EdgePartition::new(p, assignment).unwrap();
+            let dir = temp_dir(&format!("oracle{p}"));
+            write_partition_store(&dir, &g, &part).unwrap();
+            let reader = PartitionStoreReader::open(&dir).unwrap();
+
+            let (g1, part1) = reader.load().unwrap();
+            assert_eq!((&g1, &part1), (&g, &part), "p = {p}");
+            let (g0, part0) = oracle_load(&reader);
+            assert_eq!((g1, part1), (g0, part0), "p = {p}");
+            assert_eq!(
+                reader.load_assignment(&g).unwrap(),
+                oracle_load_assignment(&reader, &g),
+                "p = {p}"
+            );
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// Rewrites every segment of the store in `dir` to hold `records`,
+    /// with valid headers and checksums, and the manifest's edge counts to
+    /// match; its replica summary (covered, replicas) is left as written.
+    fn rewrite_segments(dir: &Path, records: &[Vec<(u32, u32)>]) {
+        let text = std::fs::read_to_string(dir.join(MANIFEST_NAME)).unwrap();
+        let mut manifest = PartitionManifest::parse(&text).unwrap();
+        for (k, (entry, records)) in manifest.segments.iter_mut().zip(records).enumerate() {
+            let mut payload = Vec::new();
+            for &(u, v) in records {
+                payload.extend_from_slice(&u.to_le_bytes());
+                payload.extend_from_slice(&v.to_le_bytes());
+            }
+            let mut bytes = SEGMENT_MAGIC.to_vec();
+            bytes.extend_from_slice(&(k as u32).to_le_bytes());
+            bytes.extend_from_slice(&0u32.to_le_bytes());
+            bytes.extend_from_slice(&(records.len() as u64).to_le_bytes());
+            bytes.extend_from_slice(&payload);
+            bytes.extend_from_slice(&Checksum::of(&payload).to_le_bytes());
+            std::fs::write(dir.join(&entry.file), bytes).unwrap();
+            entry.edges = records.len();
+            entry.checksum = Checksum::of(&payload);
+        }
+        manifest.num_edges = records.iter().map(Vec::len).sum();
+        std::fs::write(dir.join(MANIFEST_NAME), manifest.render()).unwrap();
+    }
+
+    #[test]
+    fn wrong_edge_sets_are_typed_corruption_for_both_loaders() {
+        // Triangle 0-1-2 in partition 0; 2-3, triangle 3-4-5 and the
+        // pendant edge 5-6 in partition 1.
+        let g = GraphBuilder::new()
+            .add_edges([
+                (0, 1),
+                (0, 2),
+                (1, 2),
+                (2, 3),
+                (3, 4),
+                (3, 5),
+                (4, 5),
+                (5, 6),
+            ])
+            .build();
+        let part = EdgePartition::new(2, vec![0, 0, 0, 1, 1, 1, 1, 1]).unwrap();
+        let n = g.num_vertices() as u32;
+        let written: Vec<Vec<(u32, u32)>> = (0..2)
+            .map(|k| {
+                g.edges()
+                    .iter()
+                    .zip(part.assignments())
+                    .filter(|&(_, &q)| q == k)
+                    .map(|(e, _)| e.endpoints())
+                    .collect()
+            })
+            .collect();
+        // Each case edits the per-segment records; `n` is the vertex count.
+        type Corruption = fn(&mut [Vec<(u32, u32)>], u32);
+        let cases: [(&str, Corruption); 5] = [
+            ("one edge in two segments", |s, _| s[1].insert(0, (0, 1))),
+            // Vertex 6 loses its only edge, so `load` sees the manifest's
+            // covered count disagree; `load_assignment` sees the graph.
+            ("one edge dropped", |s, _| {
+                s[1].pop();
+            }),
+            ("two records swapped", |s, _| s[1].swap(1, 2)),
+            ("a duplicate record", |s, _| s[1].insert(1, (2, 3))),
+            ("an endpoint out of range", |s, n| {
+                *s[1].last_mut().unwrap() = (5, n)
+            }),
+        ];
+        for (name, corrupt) in cases {
+            let dir = temp_dir("wrongset");
+            write_partition_store(&dir, &g, &part).unwrap();
+            let mut records = written.clone();
+            corrupt(&mut records, n);
+            rewrite_segments(&dir, &records);
+            let reader = PartitionStoreReader::open(&dir).unwrap();
+            let loaded = reader.load();
+            assert!(
+                matches!(loaded, Err(StoreError::Corrupt(_))),
+                "{name}: load gave {loaded:?}"
+            );
+            let assigned = reader.load_assignment(&g);
+            assert!(
+                matches!(assigned, Err(StoreError::Corrupt(_))),
+                "{name}: load_assignment gave {assigned:?}"
+            );
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

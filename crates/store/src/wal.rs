@@ -292,7 +292,6 @@ mod tests {
 
     #[test]
     fn append_and_reopen_replays_in_order() {
-        let _guard = faults::test_lock();
         let dir = temp_dir("rt");
         let (mut wal, replay) = PlacementWal::open(&dir).unwrap();
         assert!(replay.records.is_empty());
@@ -311,7 +310,6 @@ mod tests {
 
     #[test]
     fn torn_tail_is_dropped_and_truncated() {
-        let _guard = faults::test_lock();
         let dir = temp_dir("torn");
         let (mut wal, _) = PlacementWal::open(&dir).unwrap();
         for record in records(3) {
@@ -339,7 +337,6 @@ mod tests {
 
     #[test]
     fn flipped_byte_in_full_record_is_a_typed_error() {
-        let _guard = faults::test_lock();
         let dir = temp_dir("flip");
         let (mut wal, _) = PlacementWal::open(&dir).unwrap();
         for record in records(3) {
@@ -363,7 +360,6 @@ mod tests {
 
     #[test]
     fn wrong_magic_is_rejected() {
-        let _guard = faults::test_lock();
         let dir = temp_dir("magic");
         let path = dir.join(WAL_NAME);
         std::fs::write(&path, b"NOTAWAL!plus more").unwrap();
@@ -373,7 +369,6 @@ mod tests {
 
     #[test]
     fn truncate_resets_the_log() {
-        let _guard = faults::test_lock();
         let dir = temp_dir("trunc");
         let (mut wal, _) = PlacementWal::open(&dir).unwrap();
         for record in records(4) {
@@ -403,7 +398,6 @@ mod tests {
 
     #[test]
     fn group_commit_defers_the_sync() {
-        let _guard = faults::test_lock();
         let dir = temp_dir("group");
         let (mut wal, _) = PlacementWal::open(&dir).unwrap();
         wal.set_group_commit(4);
