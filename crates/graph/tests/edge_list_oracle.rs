@@ -207,3 +207,45 @@ fn random_multi_block_inputs_match_the_str_parser() {
         assert_same_in_steps(&broken, &[usize::MAX, 4099]);
     }
 }
+
+/// An edge list of `lines` lines whose ids come from `id`.
+fn edge_lines(lines: usize, mut id: impl FnMut() -> u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    for _ in 0..lines {
+        out.extend_from_slice(format!("{} {}\n", id(), id()).as_bytes());
+    }
+    out
+}
+
+#[test]
+fn every_id_mix_numbers_vertices_in_first_seen_order() {
+    let mut rng = StdRng::seed_from_u64(11);
+    let sparse: Vec<u64> = (0..3_000)
+        .map(|_| rng.gen_range(1 << 40..1 << 41))
+        .collect();
+    let large: Vec<u64> = (0..3_000)
+        .map(|_| rng.gen_range(150_000..250_000))
+        .collect();
+    let pick = |pool: &[u64], rng: &mut StdRng| pool[rng.gen_range(0..pool.len())];
+
+    let dense = edge_lines(30_000, || rng.gen_range(0..20_000));
+    let sparse_40_bit = edge_lines(20_000, || pick(&sparse, &mut rng));
+    let near_max = edge_lines(20_000, || u64::MAX - rng.gen_range(0..3_000u64));
+    let mixed = edge_lines(20_000, || match rng.gen_range(0..3) {
+        0 => pick(&sparse, &mut rng),
+        1 => u64::MAX - rng.gen_range(0..50u64),
+        _ => rng.gen_range(0..30_000),
+    });
+    // Large ids first, while the table is small, so they go to the map;
+    // then enough small ids that the table grows over the large ones,
+    // which come back mixed in.
+    let mut large_first = edge_lines(5_000, || pick(&large, &mut rng));
+    large_first.extend(edge_lines(60_000, || match rng.gen_range(0..4) {
+        0 => pick(&large, &mut rng),
+        _ => rng.gen_range(0..60_000),
+    }));
+
+    for input in [dense, sparse_40_bit, near_max, mixed, large_first] {
+        assert_same_in_steps(&input, &[usize::MAX, 4099]);
+    }
+}

@@ -32,7 +32,7 @@ use crate::format::Checksum;
 use crate::StoreError;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use tlp_core::{EdgePartition, PartitionId, PartitionMetrics, ReplicaSets};
+use tlp_core::{EdgePartition, PartitionId, PartitionMetrics, ReplicaSets, StreamedMetrics};
 use tlp_graph::{CsrGraph, Edge, GraphView};
 
 /// Name of the manifest file inside a store directory.
@@ -421,38 +421,17 @@ impl PartitionStoreReader {
         let mut assignment: Vec<PartitionId> = Vec::with_capacity(self.manifest.num_edges);
         let mut replicas = ReplicaSets::new(n, self.manifest.num_partitions);
         for _ in 0..self.manifest.num_edges {
-            let k = merge.min_head();
-            let (u, v) = record_endpoints(merge.heads[k]);
-            if u >= v || v as usize >= n {
-                return Err(StoreError::Corrupt(format!(
-                    "segment {} contains invalid edge ({u}, {v})",
-                    self.manifest.segments[k].file
-                )));
-            }
-            let edge = Edge::new(u, v);
-            if edges.last() == Some(&edge) {
-                return Err(StoreError::Corrupt(format!(
-                    "edge ({u}, {v}) appears in partitions {} and {k}",
-                    assignment[assignment.len() - 1]
-                )));
-            }
-            merge.advance(k)?;
+            let (u, v, k) = merge.pop(n)?;
             replicas.insert(u, k);
             replicas.insert(v, k);
-            edges.push(edge);
+            edges.push(Edge::new(u, v));
             assignment.push(k as PartitionId);
         }
         let (covered, total) = replicas.rows().fold((0, 0), |(covered, total), row| {
             let len: usize = row.iter().map(|w| w.count_ones() as usize).sum();
             (covered + usize::from(len > 0), total + len)
         });
-        if (covered, total) != (self.manifest.covered_vertices, self.manifest.total_replicas) {
-            return Err(StoreError::Corrupt(format!(
-                "segments cover {covered} vertices with {total} replicas, manifest records {} \
-                 and {}",
-                self.manifest.covered_vertices, self.manifest.total_replicas
-            )));
-        }
+        self.check_replica_summary(covered, total)?;
         let graph = CsrGraph::from_sorted_canonical_edges(n, edges)?;
         let partition = EdgePartition::new(self.manifest.num_partitions, assignment)
             .map_err(|e| StoreError::Corrupt(format!("invalid stored assignment: {e}")))?;
@@ -516,12 +495,47 @@ impl PartitionStoreReader {
     /// result is bit-identical to [`PartitionMetrics::compute`] on the live
     /// run that wrote the store.
     ///
+    /// No graph is built: the segments are merged once in canonical order,
+    /// with every check [`PartitionStoreReader::load`] makes, into a
+    /// [`StreamedMetrics`] pass, then replayed segment by segment for its
+    /// external incidences.
+    ///
     /// # Errors
     ///
-    /// Propagates [`PartitionStoreReader::load`] errors.
+    /// The errors of [`PartitionStoreReader::load`].
     pub fn recompute_metrics(&self) -> Result<PartitionMetrics, StoreError> {
-        let (graph, partition) = self.load()?;
-        Ok(PartitionMetrics::compute(&graph, &partition))
+        let (n, p) = (self.manifest.num_vertices, self.manifest.num_partitions);
+        // The partition count check `load` makes through `EdgePartition`.
+        EdgePartition::new(p, Vec::new())
+            .map_err(|e| StoreError::Corrupt(format!("invalid stored assignment: {e}")))?;
+        let mut merge = SegmentMerge::read(self)?;
+        let mut metrics = StreamedMetrics::new(n, p);
+        for _ in 0..self.manifest.num_edges {
+            let (u, v, k) = merge.pop(n)?;
+            metrics.observe_assignment(u, v, k as PartitionId);
+        }
+        for (k, entry) in self.manifest.segments.iter().enumerate() {
+            for i in 0..entry.edges {
+                let (u, v) = record_endpoints(merge.record(k, i));
+                metrics.observe_external(u, v, k as PartitionId);
+            }
+        }
+        let metrics = metrics.finish();
+        self.check_replica_summary(metrics.covered_vertices, metrics.total_replicas)?;
+        Ok(metrics)
+    }
+
+    /// Checks the segments' replica summary against the manifest's; a
+    /// difference means an edge was lost.
+    fn check_replica_summary(&self, covered: usize, total: usize) -> Result<(), StoreError> {
+        if (covered, total) != (self.manifest.covered_vertices, self.manifest.total_replicas) {
+            return Err(StoreError::Corrupt(format!(
+                "segments cover {covered} vertices with {total} replicas, manifest records {} \
+                 and {}",
+                self.manifest.covered_vertices, self.manifest.total_replicas
+            )));
+        }
+        Ok(())
     }
 
     /// Reads and checksums one segment file, returning its bytes: the
@@ -599,6 +613,8 @@ struct SegmentMerge<'a> {
     cursors: Vec<usize>,
     /// Each segment's head record, or [`EXHAUSTED`].
     heads: Vec<u64>,
+    /// The record [`pop`](Self::pop) took last, and its segment.
+    last: Option<(u64, usize)>,
 }
 
 impl<'a> SegmentMerge<'a> {
@@ -610,6 +626,7 @@ impl<'a> SegmentMerge<'a> {
             files: files.collect::<Result<_, _>>()?,
             cursors: vec![0; segments.len()],
             heads: vec![],
+            last: None,
         };
         merge.heads = (0..segments.len()).map(|k| merge.record(k, 0)).collect();
         Ok(merge)
@@ -635,6 +652,29 @@ impl<'a> SegmentMerge<'a> {
         keys.enumerate()
             .min_by_key(|&(_, key)| key)
             .map_or(0, |(k, _)| k)
+    }
+
+    /// Takes the record that sorts first across all segments, with its
+    /// segment, checking it as a stored edge: canonical, loop-free, both
+    /// endpoints `< num_vertices`, and not the record taken before it.
+    fn pop(&mut self, num_vertices: usize) -> Result<(u32, u32, usize), StoreError> {
+        let k = self.min_head();
+        let word = self.heads[k];
+        let (u, v) = record_endpoints(word);
+        if u >= v || v as usize >= num_vertices {
+            return Err(StoreError::Corrupt(format!(
+                "segment {} contains invalid edge ({u}, {v})",
+                self.segments[k].file
+            )));
+        }
+        if let Some((_, j)) = self.last.filter(|&(last, _)| last == word) {
+            return Err(StoreError::Corrupt(format!(
+                "edge ({u}, {v}) appears in partitions {j} and {k}"
+            )));
+        }
+        self.advance(k)?;
+        self.last = Some((word, k));
+        Ok((u, v, k))
     }
 
     /// Consumes segment `k`'s head, checking that the record after it
@@ -742,6 +782,11 @@ mod tests {
                 oracle_load_assignment(&reader, &g),
                 "p = {p}"
             );
+            assert_eq!(
+                reader.recompute_metrics().unwrap(),
+                PartitionMetrics::compute(&g, &part),
+                "p = {p}"
+            );
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }
@@ -831,6 +876,11 @@ mod tests {
             assert!(
                 matches!(assigned, Err(StoreError::Corrupt(_))),
                 "{name}: load_assignment gave {assigned:?}"
+            );
+            let recomputed = reader.recompute_metrics();
+            assert!(
+                matches!(recomputed, Err(StoreError::Corrupt(_))),
+                "{name}: recompute_metrics gave {recomputed:?}"
             );
             std::fs::remove_dir_all(&dir).unwrap();
         }

@@ -49,4 +49,17 @@ metrics "$WORK/dbh_stream.txt" > "$WORK/dbh_stream.metrics"
 metrics "$WORK/dbh_memory.txt" > "$WORK/dbh_memory.metrics"
 diff "$WORK/dbh_stream.metrics" "$WORK/dbh_memory.metrics"
 
+# The same list with every id remapped injectively to a sparse id >= 2^40
+# ("1" then the id zero-padded to 13 digits, built as a string), so the
+# text interner numbers every vertex through its map tier. First-seen
+# order is unchanged, so the numbering and the metrics must be too.
+awk '/^#/ { print; next }
+     { printf "1%s%s\t1%s%s\n", substr("0000000000000", length($1) + 1), $1,
+                                 substr("0000000000000", length($2) + 1), $2 }' \
+    "$WORK/graph.txt" > "$WORK/graph_sparse.txt"
+cli partition --input "$WORK/graph_sparse.txt" --format text --algorithm hdrf \
+    --partitions 8 --stream-budget 100000000 > "$WORK/hdrf_sparse.txt"
+metrics "$WORK/hdrf_sparse.txt" > "$WORK/hdrf_sparse.metrics"
+diff "$WORK/hdrf_sparse.metrics" "$WORK/hdrf_memory.metrics"
+
 echo "store pipeline OK: streamed (budget 1024, peak $peak) == in-memory, RF $rf_run"
