@@ -49,15 +49,12 @@ pub(super) fn enroll_frontier_edge<P: SelectionPolicy + ?Sized>(
         ws.frontier.push(u);
         ws.e_in[ui] = 1;
         // Initial mu_s1: max closeness term against members already adjacent
-        // (static adjacency — including edges consumed by earlier rounds).
-        // `refresh_mu1` folds each term into the running maximum, pruning
-        // and caching where provably value-neutral; the term against the
-        // member being admitted right now is served by the loaded kernel
-        // and memoized for the admission's refresh pass.
+        // (static adjacency — including edges consumed by earlier rounds),
+        // each term an O(1) support lookup.
         ws.mu1[ui] = 0.0;
-        for &w in graph.neighbors(u) {
+        for (w, e) in graph.incident(u) {
             if ws.member_round[w as usize] == k {
-                ws.refresh_mu1(graph, u, w);
+                ws.refresh_mu1(graph, u, w, e);
             }
         }
     }
@@ -193,7 +190,9 @@ pub(super) fn select_stage_two_scan(
 
 /// Stage II selection via the `e_in` buckets: only each bucket's minimum
 /// `(e_ext, id)` candidate can be the argmax within its `e_in` class, so it
-/// suffices to compare one representative per active bucket.
+/// suffices to compare one representative per active bucket. A bucket left
+/// empty by stale-top removal is delisted (the argmax is order-independent,
+/// so delisting cannot change the pick).
 pub(super) fn select_stage_two_heap(
     index: &mut StagedIndex,
     ws: &Workspace,
@@ -202,7 +201,9 @@ pub(super) fn select_stage_two_heap(
     external: usize,
 ) -> VertexId {
     let mut best: Option<(StageTwoKey, VertexId)> = None;
-    for bi in 0..index.active_buckets.len() {
+    let mut bi = 0;
+    while bi < index.active_buckets.len() {
+        index.bucket_visits += 1;
         let bucket = index.active_buckets[bi] as usize;
         // Drop stale tops: an entry is valid iff the vertex is still a
         // candidate with exactly this e_in (then its e_ext is implied by its
@@ -219,7 +220,12 @@ pub(super) fn select_stage_two_heap(
                 }
             }
         };
-        let Some(v) = rep else { continue };
+        let Some(v) = rep else {
+            index.active_buckets.swap_remove(bi);
+            index.bucket_stamp[bucket] = u32::MAX;
+            continue;
+        };
+        bi += 1;
         let key = stage_two_key(ws, residual, internal, external, v);
         let better = match &best {
             None => true,

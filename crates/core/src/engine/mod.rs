@@ -48,12 +48,12 @@
 //!
 //! Independent of the strategy, Stage I scores (`mu1`) are maintained
 //! incrementally by `Workspace::refresh_mu1`: when a member is admitted,
-//! only frontier vertices adjacent to it are rescored, each term is pruned
-//! by a degree upper bound when it provably cannot raise the candidate's
-//! running maximum, and intersections against the admitted member run on
-//! the loaded [`IntersectionKernel`](tlp_graph::intersect::IntersectionKernel)
-//! with per-admission memoization. All of these are value-neutral, so
-//! every strategy still sees the exact Eq. 7 scores.
+//! only frontier vertices adjacent to it are rescored. Each closeness term
+//! `|N(u) ∩ N(w)| / |N(w)|` is `support(e) / deg(w)` for the edge
+//! `e = (u, w)`, where the triangle support of every edge is computed once
+//! per run by [`edge_support`](tlp_graph::intersect::edge_support) (lazy
+//! admission only). The lookup yields the same integer as the
+//! intersection, so every strategy still sees the exact Eq. 7 scores.
 //!
 //! All ties are broken by explicit deterministic keys, so results are
 //! reproducible across runs and platforms under any strategy.

@@ -200,6 +200,9 @@ impl<S: StageSwitch> SelectionPolicy for StagedPolicy<S> {
     }
 
     fn end_round(&mut self) {
+        // Round-granularity flush, like the engine's `round.*` counters.
+        let visits = std::mem::take(&mut self.index.bucket_visits);
+        tlp_obs::counter("stage2.bucket_visit", visits);
         self.index.clear();
     }
 }

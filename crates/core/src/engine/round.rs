@@ -3,7 +3,7 @@
 
 use super::frontier::{enroll_eager, enroll_frontier_edge};
 use super::policy::{AdmissionMode, GrowthState, Selection, SelectionPolicy};
-use super::workspace::{ScoringCounters, Workspace};
+use super::workspace::Workspace;
 use crate::checkpoint::EngineCheckpoint;
 use crate::config::{ReseedPolicy, TlpConfig};
 use crate::partition::{EdgePartition, PartitionId};
@@ -11,6 +11,7 @@ use crate::trace::{RoundScoring, SelectionRecord, Trace};
 use crate::PartitionError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use tlp_graph::intersect::edge_support;
 use tlp_graph::{GraphView, ResidualGraph, VertexId};
 
 /// Callback invoked with the engine snapshot after each completed round.
@@ -74,7 +75,20 @@ pub fn run_with_checkpoints<'g, P: SelectionPolicy + ?Sized>(
 
     let capacity = config.capacity(m, num_partitions);
     let mut residual = ResidualGraph::new(graph);
-    let mut ws = Workspace::new(n, config.frontier_cap_value().unwrap_or(usize::MAX));
+    // Stage I scores read the static triangle support of each edge; eager
+    // policies never score Stage I, so they skip the pass.
+    let support = match policy.admission() {
+        AdmissionMode::Lazy => {
+            let _support_span = tlp_obs::span("support");
+            edge_support(graph)
+        }
+        AdmissionMode::Eager => Vec::new(),
+    };
+    let mut ws = Workspace::new(
+        n,
+        config.frontier_cap_value().unwrap_or(usize::MAX),
+        support,
+    );
 
     let (mut assignment, mut rng, start_round) = match resume {
         None => {
@@ -177,10 +191,7 @@ fn run_round<P: SelectionPolicy + ?Sized>(
     let mut internal = 0usize;
     let mut external = 0usize;
     let mut step = 0u32;
-    ws.scoring = ScoringCounters::default();
-    // Drop tallies accumulated outside any round (none today, but cheap
-    // insurance) so per-round kernel counters attribute exactly.
-    ws.kernel.take_counters();
+    ws.rescored = 0;
 
     // Line 1-3: random seed vertex; its neighbors form the frontier.
     seed_vertex(
@@ -259,25 +270,14 @@ fn run_round<P: SelectionPolicy + ?Sized>(
     if let Some(t) = trace {
         t.push_round_scoring(RoundScoring {
             partition: k,
-            rescored: ws.scoring.rescored,
-            skipped: ws.scoring.skipped,
-            cache_hits: ws.scoring.cache_hits,
+            rescored: ws.rescored,
         });
     }
     if tlp_obs::is_enabled() {
         // Round-granularity flush: the per-selection hot path never emits.
         tlp_obs::counter("round.select", u64::from(step));
         tlp_obs::counter("round.edges", internal as u64);
-        tlp_obs::counter("scoring.rescored", ws.scoring.rescored);
-        tlp_obs::counter("scoring.skipped", ws.scoring.skipped);
-        tlp_obs::counter("scoring.cache_hits", ws.scoring.cache_hits);
-        let kernel = ws.kernel.take_counters();
-        tlp_obs::counter("kernel.load", kernel.loads);
-        tlp_obs::counter("kernel.cache_hit", kernel.cache_hits);
-        tlp_obs::counter("kernel.count.mark", kernel.mark_counts);
-        tlp_obs::counter("kernel.count.gallop", kernel.gallop_counts);
-        tlp_obs::counter("kernel.count.bitset", kernel.bitset_counts);
-        tlp_obs::counter("kernel.probes", kernel.probes);
+        tlp_obs::counter("scoring.rescored", ws.rescored);
     }
     ws.frontier_clear();
     policy.end_round();
@@ -357,11 +357,6 @@ fn admit_vertex<P: SelectionPolicy + ?Sized>(
         return;
     }
 
-    // Load the new member's neighborhood into the intersection kernel: the
-    // enrollments and Stage I refreshes below all intersect against N(v),
-    // sharing one marked scratch and one count per (candidate, v) pair.
-    ws.kernel.load(graph, v);
-
     // Allocate edges v -> members (they were external; now internal).
     ws.incident_scratch.clear();
     ws.incident_scratch.extend(residual.residual_incident(v));
@@ -389,10 +384,10 @@ fn admit_vertex<P: SelectionPolicy + ?Sized>(
 
     // Incremental Stage I refresh: v is a new member, so every frontier
     // candidate statically adjacent to v gains a candidate term. Candidates
-    // enrolled moments ago already folded this term in (their scan hit the
-    // kernel cache), so only previously existing candidates can improve.
-    for &u in graph.neighbors(v) {
-        if ws.in_frontier[u as usize] && ws.refresh_mu1(graph, u, v) {
+    // enrolled moments ago already folded this term in, so only previously
+    // existing candidates can improve.
+    for (u, e) in graph.incident(v) {
+        if ws.in_frontier[u as usize] && ws.refresh_mu1(graph, u, v, e) {
             policy.on_candidate(ws, residual, u, k);
         }
     }

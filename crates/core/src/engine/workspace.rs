@@ -1,23 +1,11 @@
 //! Per-run scratch state shared by every selection policy: round-stamped
-//! membership, the frontier dense list, per-candidate scores, and the
-//! staged priority structures (heaps) used by the indexed TLP policies.
+//! membership, the frontier dense list, per-candidate scores with the
+//! per-edge support index they are read from, and the staged priority
+//! structures (heaps) used by the indexed TLP policies.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use tlp_graph::intersect::{sorted_intersection_size, IntersectionKernel};
 use tlp_graph::{EdgeId, GraphView, ResidualGraph, VertexId};
-
-/// Frontier-scoring effort counters, accumulated per round (see
-/// [`RoundScoring`](crate::trace::RoundScoring) for field semantics).
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct ScoringCounters {
-    /// Closeness terms computed with a real intersection.
-    pub(crate) rescored: u64,
-    /// Closeness terms pruned by the degree upper bound.
-    pub(crate) skipped: u64,
-    /// Closeness terms served from the admitted-member cache.
-    pub(crate) cache_hits: u64,
-}
 
 /// Per-graph scratch reused across rounds (one allocation per run).
 ///
@@ -45,16 +33,18 @@ pub struct Workspace {
     pub(crate) incident_scratch: Vec<(VertexId, EdgeId)>,
     /// Maximum candidates held in the frontier (sliding-window mode).
     pub(crate) frontier_cap: usize,
-    /// Intersection kernel holding the most recently admitted member's
-    /// neighborhood (lazy admission only).
-    pub(crate) kernel: IntersectionKernel,
-    /// Scoring-effort counters for the current round.
-    pub(crate) scoring: ScoringCounters,
+    /// Triangle support of every edge of the input graph (lazy admission
+    /// only; empty under eager admission, which never scores Stage I).
+    pub(crate) support: Vec<u32>,
+    /// Closeness terms evaluated in the current round (see
+    /// [`RoundScoring`](crate::trace::RoundScoring)).
+    pub(crate) rescored: u64,
 }
 
 impl Workspace {
-    /// Allocates a workspace for an `n`-vertex graph.
-    pub fn new(n: usize, frontier_cap: usize) -> Self {
+    /// Allocates a workspace for an `n`-vertex graph whose edges have the
+    /// given triangle `support` (see [`tlp_graph::intersect::edge_support`]).
+    pub fn new(n: usize, frontier_cap: usize, support: Vec<u32>) -> Self {
         Workspace {
             member_round: vec![u32::MAX; n],
             in_frontier: vec![false; n],
@@ -64,55 +54,30 @@ impl Workspace {
             frontier_pos: vec![0; n],
             incident_scratch: Vec::new(),
             frontier_cap,
-            kernel: IntersectionKernel::new(n),
-            scoring: ScoringCounters::default(),
+            support,
+            rescored: 0,
         }
     }
 
-    /// Folds the closeness term of candidate `u` against member `w` into
-    /// `mu1[u]`, returning whether the running maximum improved.
+    /// Folds the closeness term of candidate `u` against member `w`, joined
+    /// by edge `e`, into `mu1[u]`, returning whether the running maximum
+    /// improved.
     ///
-    /// This is the engine's single entry point for Stage I scoring work,
-    /// and where all three cost savers live — each provably changing no
-    /// term value, so selection stays bit-identical to a from-scratch
-    /// `closeness_term` evaluation:
-    ///
-    /// * **Degree pruning.** `u` and `w` are adjacent in a simple graph,
-    ///   so `|N(u) ∩ N(w)| <= min(deg u, deg w) - 1` (`w ∈ N(u)` but
-    ///   `w ∉ N(w)`, and vice versa). If even that bound over `|N(w)|`
-    ///   cannot beat the current maximum, the term is skipped — the
-    ///   maximum provably would not change.
-    /// * **Admitted-member cache.** When `w` is the kernel-loaded member,
-    ///   the count is served from (or stored into) the kernel's per-load
-    ///   cache, so enrolling and refreshing against the same admission
-    ///   computes each pair's intersection once.
-    /// * **Kernel dispatch.** Counts against the loaded member use the
-    ///   marked-neighborhood scratch (or galloping for very high-degree
-    ///   candidates); all kernels return the same exact integer count.
-    pub(crate) fn refresh_mu1(&mut self, graph: GraphView<'_>, u: VertexId, w: VertexId) -> bool {
+    /// The term `|N(u) ∩ N(w)| / |N(w)|` is read off the static support
+    /// index: `u` and `w` are adjacent, so the intersection size is the
+    /// triangle count of `e`. That is the same integer a from-scratch
+    /// `closeness_term` evaluation intersects for, so the f64 and every
+    /// selection stay bit-identical.
+    pub(crate) fn refresh_mu1(
+        &mut self,
+        graph: GraphView<'_>,
+        u: VertexId,
+        w: VertexId,
+        e: EdgeId,
+    ) -> bool {
+        self.rescored += 1;
+        let term = self.support[e as usize] as f64 / graph.degree(w) as f64;
         let ui = u as usize;
-        let dw = graph.degree(w);
-        if dw == 0 {
-            return false;
-        }
-        let du = graph.degree(u);
-        let bound = (du.min(dw) - 1) as f64 / dw as f64;
-        if bound <= self.mu1[ui] {
-            self.scoring.skipped += 1;
-            return false;
-        }
-        let count = if self.kernel.loaded() == Some(w) {
-            if self.kernel.cached_with_loaded(u).is_some() {
-                self.scoring.cache_hits += 1;
-            } else {
-                self.scoring.rescored += 1;
-            }
-            self.kernel.count_with_loaded(graph, u)
-        } else {
-            self.scoring.rescored += 1;
-            sorted_intersection_size(graph.neighbors(u), graph.neighbors(w))
-        };
-        let term = count as f64 / dw as f64;
         if term > self.mu1[ui] {
             self.mu1[ui] = term;
             true
@@ -210,10 +175,14 @@ pub(crate) struct StagedIndex {
     /// Stage II buckets: `stage2_buckets[e_in]` is a lazy min-heap of
     /// `(e_ext, vertex)`.
     pub(crate) stage2_buckets: Vec<BinaryHeap<Reverse<(u32, VertexId)>>>,
-    /// Bucket indices touched in the current round (for iteration/clearing).
+    /// Non-empty bucket indices of the current round (for
+    /// iteration/clearing); Stage II selection delists emptied buckets.
     pub(crate) active_buckets: Vec<u32>,
-    /// Round stamp marking a bucket as listed in `active_buckets`.
+    /// Round stamp marking a bucket as listed in `active_buckets`
+    /// (`u32::MAX` once delisted, so the next push lists it again).
     pub(crate) bucket_stamp: Vec<u32>,
+    /// Buckets examined by Stage II selection this round.
+    pub(crate) bucket_visits: u64,
     /// Dirty flag per vertex (`Incremental` strategy): state changed since
     /// the candidate's last heap push.
     pub(crate) dirty: Vec<bool>,

@@ -10,16 +10,17 @@
 //!
 //! Neighborhoods are those of the input graph (the criterion is a structural
 //! closeness measure borrowed from local community detection, not a residual
-//! quantity). `tlp-graph` CSR adjacency lists are sorted, so intersections
-//! run on the kernels in [`tlp_graph::intersect`]: an adaptive merge/gallop
-//! for one-off terms here, and the engine's
-//! [`IntersectionKernel`](tlp_graph::intersect::IntersectionKernel) (marked
-//! scratch + per-admission count cache) on the hot incremental path.
+//! quantity). `v_i` and `v_j` are adjacent, so `|N(v_i) ∩ N(v_j)|` is the
+//! triangle support of their edge, a constant of the input graph: the engine
+//! computes every edge's support once per run
+//! ([`tlp_graph::intersect::edge_support`]) and scores each term with one
+//! lookup. The functions here evaluate the definition directly over the
+//! sorted CSR adjacency and serve as its reference.
 
 use tlp_graph::{GraphView, VertexId};
 
-// The adaptive intersection primitive lives in the graph crate's kernel
-// layer; re-exported because `mu_s1`'s definition is stated in terms of it.
+// The intersection primitive lives in the graph crate; re-exported because
+// `mu_s1`'s definition is stated in terms of it.
 pub use tlp_graph::intersect::sorted_intersection_size;
 
 /// The single-member closeness term `|N(v_i) ∩ N(v_j)| / |N(v_j)|`.

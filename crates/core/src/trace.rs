@@ -39,24 +39,17 @@ pub struct StageDegreeSummary {
     pub stage2_avg_degree: f64,
 }
 
-/// Per-round frontier-scoring effort: how much closeness work the
-/// incremental Stage I maintenance actually did versus pruned away.
+/// Per-round frontier-scoring effort of the incremental Stage I
+/// maintenance.
 ///
-/// One record per partition round. `rescored + skipped + cache_hits` is
-/// the number of closeness terms the naive engine would have computed
-/// with a full intersection each.
+/// One record per partition round.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RoundScoring {
     /// Partition grown in this round (`0..p`).
     pub partition: u32,
-    /// Closeness terms computed with a real neighborhood intersection.
+    /// Closeness terms evaluated (each an O(1) lookup in the per-edge
+    /// triangle-support index).
     pub rescored: u64,
-    /// Closeness terms pruned by the degree upper bound (the term could
-    /// not have beaten the candidate's running maximum).
-    pub skipped: u64,
-    /// Closeness terms answered from the admitted-member intersection
-    /// cache without recomputing.
-    pub cache_hits: u64,
 }
 
 /// The complete selection log of one partitioning run.

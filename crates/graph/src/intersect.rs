@@ -1,37 +1,17 @@
-//! Neighborhood-intersection kernels.
+//! Neighborhood intersections and the per-edge triangle-support index.
 //!
-//! Stage I of TLP scores a frontier candidate `v_i` against a member `v_j`
-//! by `|N(v_i) ∩ N(v_j)| / |N(v_j)|`, so set-intersection size over sorted
-//! CSR adjacency slices is the single hottest primitive of the selection
-//! path. Three kernels cover the degree regimes of power-law graphs:
+//! Stage I of TLP scores a frontier candidate `u` against a member `w` by
+//! `|N(u) ∩ N(w)| / |N(w)|` over the *input* graph. `u` and `w` are
+//! adjacent, so the numerator is the number of triangles through the edge
+//! `(u, w)` — its *support* — which never changes during a run.
+//! [`edge_support`] computes every edge's support in one pass, after which
+//! each closeness term is an O(1) lookup.
 //!
-//! * [`merge_intersection_size`] — linear two-pointer merge; best when the
-//!   lists are of comparable length.
-//! * [`galloping_intersection_size`] — binary-search probes of the longer
-//!   list, shrinking the search window after each hit; best when one list
-//!   is much shorter (a low-degree candidate against a hub).
-//! * [`IntersectionKernel::count_with_loaded`] — membership lookups against
-//!   a reusable epoch-stamped scratch ("bitset") holding one preloaded
-//!   neighborhood; best when *many* lists are intersected against the same
-//!   high-degree vertex, which is exactly what happens when a member is
-//!   admitted and all of its frontier neighbors must be rescored.
-//!
-//! [`sorted_intersection_size`] dispatches adaptively between the first
-//! two; the kernel object adds the preloaded-neighborhood path plus a
-//! per-load cache of counts so the engine never computes
-//! `|N(u) ∩ N(member)|` twice for the same admitted member.
-//!
-//! All kernels return the exact same count for the same inputs — the
-//! engine's bit-identical-selection guarantee depends on it, and the
-//! property suite (`tests/intersect_props.rs`) plus the core crate's
-//! differential tests enforce it.
+//! [`sorted_intersection_size`] is the direct definition over sorted CSR
+//! adjacency slices: the reference the support index is tested against and
+//! the primitive behind one-off closeness evaluations.
 
-use crate::{GraphView, VertexId};
-
-/// When the longer list is at least this many times the shorter one,
-/// galloping beats the linear merge (the crossover tracks `log2` of the
-/// longer length; 8 is a conservative fit for CSR slices).
-const GALLOP_RATIO: usize = 8;
+use crate::{EdgeId, GraphView, VertexId};
 
 /// Size of the intersection of two sorted, duplicate-free slices, by
 /// linear two-pointer merge (`O(|a| + |b|)`).
@@ -39,12 +19,12 @@ const GALLOP_RATIO: usize = 8;
 /// # Example
 ///
 /// ```
-/// use tlp_graph::intersect::merge_intersection_size;
+/// use tlp_graph::intersect::sorted_intersection_size;
 ///
-/// assert_eq!(merge_intersection_size(&[1, 3, 5, 9], &[2, 3, 4, 5]), 2);
-/// assert_eq!(merge_intersection_size(&[], &[1]), 0);
+/// assert_eq!(sorted_intersection_size(&[1, 3, 5, 9], &[2, 3, 4, 5]), 2);
+/// assert_eq!(sorted_intersection_size(&[], &[1]), 0);
 /// ```
-pub fn merge_intersection_size(a: &[VertexId], b: &[VertexId]) -> usize {
+pub fn sorted_intersection_size(a: &[VertexId], b: &[VertexId]) -> usize {
     let mut i = 0;
     let mut j = 0;
     let mut count = 0;
@@ -62,288 +42,76 @@ pub fn merge_intersection_size(a: &[VertexId], b: &[VertexId]) -> usize {
     count
 }
 
-/// Size of the intersection of two sorted, duplicate-free slices, by
-/// binary-search probes of the longer slice (`O(|short| log |long|)`).
+/// The triangle support of every edge: `support[e]` is the number of
+/// triangles containing edge `e = (u, w)`, i.e. `|N(u) ∩ N(w)|`.
 ///
-/// The probed window shrinks after every search, so a run of hits near the
-/// front of the long list keeps later probes cheap.
-///
-/// # Example
-///
-/// ```
-/// use tlp_graph::intersect::galloping_intersection_size;
-///
-/// assert_eq!(galloping_intersection_size(&[3, 5], &(0..1000).collect::<Vec<_>>()), 2);
-/// ```
-pub fn galloping_intersection_size(a: &[VertexId], b: &[VertexId]) -> usize {
-    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let mut count = 0;
-    let mut rest = long;
-    for &x in short {
-        match rest.binary_search(&x) {
-            Ok(pos) => {
-                count += 1;
-                rest = &rest[pos + 1..];
-            }
-            Err(pos) => rest = &rest[pos..],
-        }
-    }
-    count
-}
-
-/// Size of the intersection of two sorted, duplicate-free slices, choosing
-/// between [`merge_intersection_size`] and [`galloping_intersection_size`]
-/// by the length ratio.
+/// Uses the degree-ordered forward algorithm. Vertices are ranked by
+/// `(degree, id)` and every edge is kept once, as a forward arc from its
+/// lower-ranked endpoint. A triangle's lowest-ranked vertex `u` reaches
+/// both other corners `v` and `w` by forward arcs, and `v -> w` is a
+/// forward arc too, so each triangle is found exactly once: mark `u`'s
+/// forward arcs by their edge ids, then probe every forward arc of each
+/// forward neighbor `v`. Each hit adds 1 to all three edges. The cost is
+/// `O(m^1.5)` in the worst case and far less on power-law graphs, where
+/// hubs keep only their few arcs to even higher-ranked vertices.
 ///
 /// # Example
 ///
 /// ```
-/// use tlp_graph::intersect::sorted_intersection_size;
-///
-/// assert_eq!(sorted_intersection_size(&[1, 3, 5, 9], &[2, 3, 4, 5]), 2);
-/// assert_eq!(sorted_intersection_size(&[], &[1]), 0);
-/// ```
-pub fn sorted_intersection_size(a: &[VertexId], b: &[VertexId]) -> usize {
-    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if short.is_empty() {
-        return 0;
-    }
-    if long.len() / short.len() >= GALLOP_RATIO {
-        galloping_intersection_size(short, long)
-    } else {
-        merge_intersection_size(short, long)
-    }
-}
-
-/// Per-strategy call counts accumulated by an [`IntersectionKernel`].
-///
-/// Plain integers with no observability dependency: the engine drains
-/// them once per round via [`IntersectionKernel::take_counters`] and
-/// forwards the totals to whatever observer is attached, so the hot
-/// per-intersection path never crosses a crate boundary.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct KernelCounters {
-    /// Neighborhood loads ([`IntersectionKernel::load`]).
-    pub loads: u64,
-    /// [`IntersectionKernel::count_with_loaded`] calls answered from the
-    /// per-load memo.
-    pub cache_hits: u64,
-    /// `count_with_loaded` calls answered by membership-mark probes.
-    pub mark_counts: u64,
-    /// `count_with_loaded` calls answered by galloping search.
-    pub gallop_counts: u64,
-    /// Raw [`IntersectionKernel::bitset_intersection_size`] calls.
-    pub bitset_counts: u64,
-    /// Individual membership probes performed across mark and bitset
-    /// counting (the inner-loop work the strategies are minimizing).
-    pub probes: u64,
-}
-
-impl KernelCounters {
-    /// Adds another tally into this one.
-    pub fn merge(&mut self, other: &KernelCounters) {
-        self.loads += other.loads;
-        self.cache_hits += other.cache_hits;
-        self.mark_counts += other.mark_counts;
-        self.gallop_counts += other.gallop_counts;
-        self.bitset_counts += other.bitset_counts;
-        self.probes += other.probes;
-    }
-
-    /// Total intersection counts served, across every strategy.
-    pub fn total_counts(&self) -> u64 {
-        self.cache_hits + self.mark_counts + self.gallop_counts + self.bitset_counts
-    }
-}
-
-/// Reusable scratch for repeated intersections against one "loaded"
-/// neighborhood, plus a per-load cache of counts.
-///
-/// The scratch is an epoch-stamped membership array (a bitset with O(1)
-/// clearing: bumping the epoch invalidates every mark at once). [`load`]
-/// marks `N(v)`; [`count_with_loaded`] then counts any other vertex's
-/// neighborhood against the marks in `O(deg)` lookups — or galloping when
-/// the query degree dwarfs the loaded degree — and memoizes the result, so
-/// asking twice for the same pair during one load is a cache hit.
-///
-/// The intended rhythm mirrors partition growth: when the engine admits a
-/// member `v`, it loads `N(v)` once and rescored frontier neighbors reuse
-/// the marks; candidates enrolled later in the same admission hit the
-/// cache for their closeness term against `v`.
-///
-/// # Example
-///
-/// ```
-/// use tlp_graph::intersect::IntersectionKernel;
+/// use tlp_graph::intersect::{edge_support, sorted_intersection_size};
 /// use tlp_graph::GraphBuilder;
 ///
+/// // Triangle 0-1-2 plus the pendant edge 2-3.
 /// let g = GraphBuilder::new()
-///     .add_edges([(0, 1), (1, 2), (2, 0), (1, 3), (3, 0)])
+///     .add_edges([(0, 1), (1, 2), (2, 0), (2, 3)])
 ///     .build();
-/// let mut kernel = IntersectionKernel::new(g.num_vertices());
-/// kernel.load(&g, 0);
-/// // |N(2) ∩ N(0)| = |{0, 1} ∩ {1, 2, 3}| = 1.
-/// assert_eq!(kernel.count_with_loaded(&g, 2), 1);
-/// assert_eq!(kernel.cached_with_loaded(2), Some(1));
+/// let support = edge_support(&g);
+/// for u in g.vertices() {
+///     for (w, e) in g.incident(u) {
+///         let common = sorted_intersection_size(g.neighbors(u), g.neighbors(w));
+///         assert_eq!(support[e as usize] as usize, common);
+///     }
+/// }
 /// ```
-///
-/// [`load`]: IntersectionKernel::load
-/// [`count_with_loaded`]: IntersectionKernel::count_with_loaded
-#[derive(Clone, Debug, Default)]
-pub struct IntersectionKernel {
-    /// `mark[u] == epoch` iff `u` is a neighbor of the loaded vertex.
-    mark: Vec<u32>,
-    /// `cache_stamp[u] == epoch` iff `cache_val[u]` holds
-    /// `|N(u) ∩ N(loaded)|`.
-    cache_stamp: Vec<u32>,
-    /// Cached intersection counts, valid per `cache_stamp`.
-    cache_val: Vec<u32>,
-    /// Current load epoch; 0 means nothing was ever loaded.
-    epoch: u32,
-    /// The vertex whose neighborhood is currently marked.
-    loaded: Option<VertexId>,
-    /// Per-strategy call tallies, drained via [`take_counters`].
-    ///
-    /// [`take_counters`]: IntersectionKernel::take_counters
-    counters: KernelCounters,
-}
+pub fn edge_support<'a>(graph: impl Into<GraphView<'a>>) -> Vec<u32> {
+    let graph = graph.into();
+    let n = graph.num_vertices();
+    let precedes = |a: VertexId, b: VertexId| (graph.degree(a), a) < (graph.degree(b), b);
 
-impl IntersectionKernel {
-    /// Creates a kernel sized for vertex ids `< n`.
-    pub fn new(n: usize) -> Self {
-        IntersectionKernel {
-            mark: vec![0; n],
-            cache_stamp: vec![0; n],
-            cache_val: vec![0; n],
-            epoch: 0,
-            loaded: None,
-            counters: KernelCounters::default(),
+    // Forward arcs `(neighbor, edge id)` of vertex `u` live at
+    // `arcs[offsets[u]..offsets[u + 1]]`.
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut arcs: Vec<(VertexId, EdgeId)> = Vec::with_capacity(graph.num_edges());
+    offsets.push(0);
+    for u in graph.vertices() {
+        arcs.extend(graph.incident(u).filter(|&(w, _)| precedes(u, w)));
+        offsets.push(arcs.len());
+    }
+    let forward = |u: VertexId| &arcs[offsets[u as usize]..offsets[u as usize + 1]];
+
+    let mut support = vec![0u32; graph.num_edges()];
+    // `mark[w]` holds the id of edge `(u, w)` while `u`'s arcs are marked.
+    let mut mark = vec![EdgeId::MAX; n];
+    for u in graph.vertices() {
+        let out = forward(u);
+        for &(w, e) in out {
+            mark[w as usize] = e;
+        }
+        for &(v, e_uv) in out {
+            for &(w, e_vw) in forward(v) {
+                let e_uw = mark[w as usize];
+                if e_uw != EdgeId::MAX {
+                    support[e_uv as usize] += 1;
+                    support[e_vw as usize] += 1;
+                    support[e_uw as usize] += 1;
+                }
+            }
+        }
+        for &(w, _) in out {
+            mark[w as usize] = EdgeId::MAX;
         }
     }
-
-    /// The vertex whose neighborhood is currently loaded, if any.
-    pub fn loaded(&self) -> Option<VertexId> {
-        self.loaded
-    }
-
-    /// The per-strategy call tallies since the last [`take_counters`].
-    ///
-    /// [`take_counters`]: IntersectionKernel::take_counters
-    pub fn counters(&self) -> &KernelCounters {
-        &self.counters
-    }
-
-    /// Returns the accumulated tallies and resets them to zero — the
-    /// once-per-round drain point for observability.
-    pub fn take_counters(&mut self) -> KernelCounters {
-        std::mem::take(&mut self.counters)
-    }
-
-    /// Grows the scratch to cover vertex ids `< n` (no-op when already
-    /// large enough).
-    fn ensure_capacity(&mut self, n: usize) {
-        if self.mark.len() < n {
-            self.mark.resize(n, 0);
-            self.cache_stamp.resize(n, 0);
-            self.cache_val.resize(n, 0);
-        }
-    }
-
-    /// Starts a fresh epoch, resetting the stamp arrays if the counter
-    /// would wrap (once every `u32::MAX` loads).
-    fn next_epoch(&mut self) {
-        if self.epoch == u32::MAX {
-            self.mark.fill(0);
-            self.cache_stamp.fill(0);
-            self.epoch = 1;
-        } else {
-            self.epoch += 1;
-        }
-    }
-
-    /// Loads `N(v)` into the scratch, invalidating the previous load and
-    /// its cached counts.
-    ///
-    /// Accepts `&CsrGraph` or any [`GraphView`], so the kernel works over
-    /// borrowed arenas as well as owned graphs.
-    pub fn load<'a>(&mut self, graph: impl Into<GraphView<'a>>, v: VertexId) {
-        let graph = graph.into();
-        self.counters.loads += 1;
-        self.ensure_capacity(graph.num_vertices());
-        self.next_epoch();
-        for &w in graph.neighbors(v) {
-            self.mark[w as usize] = self.epoch;
-        }
-        self.loaded = Some(v);
-    }
-
-    /// The cached `|N(u) ∩ N(loaded)|` from an earlier
-    /// [`count_with_loaded`](Self::count_with_loaded) in the current load,
-    /// if any.
-    pub fn cached_with_loaded(&self, u: VertexId) -> Option<usize> {
-        let ui = u as usize;
-        (self.epoch != 0 && self.cache_stamp.get(ui) == Some(&self.epoch))
-            .then(|| self.cache_val[ui] as usize)
-    }
-
-    /// Counts `|N(u) ∩ N(v)|` for the loaded vertex `v` and memoizes the
-    /// result for the duration of the load.
-    ///
-    /// Uses the membership marks (`O(deg(u))`) unless `deg(u)` dwarfs the
-    /// loaded degree, where galloping over `N(u)` is cheaper.
-    ///
-    /// # Panics
-    ///
-    /// Panics if nothing is loaded.
-    pub fn count_with_loaded<'a>(&mut self, graph: impl Into<GraphView<'a>>, u: VertexId) -> usize {
-        let graph = graph.into();
-        let v = self.loaded.expect("no neighborhood loaded");
-        if let Some(count) = self.cached_with_loaded(u) {
-            self.counters.cache_hits += 1;
-            return count;
-        }
-        let nu = graph.neighbors(u);
-        let count = if nu.len() / graph.degree(v).max(1) >= GALLOP_RATIO {
-            self.counters.gallop_counts += 1;
-            galloping_intersection_size(graph.neighbors(v), nu)
-        } else {
-            self.counters.mark_counts += 1;
-            self.counters.probes += nu.len() as u64;
-            nu.iter()
-                .filter(|&&w| self.mark[w as usize] == self.epoch)
-                .count()
-        };
-        let ui = u as usize;
-        self.cache_stamp[ui] = self.epoch;
-        self.cache_val[ui] = count as u32;
-        count
-    }
-
-    /// Size of the intersection of two arbitrary sorted, duplicate-free
-    /// slices via the membership scratch: marks `a`, then counts `b`'s
-    /// hits.
-    ///
-    /// This is the raw bitset kernel (property-tested against the merge
-    /// and galloping kernels); it clobbers any loaded neighborhood.
-    pub fn bitset_intersection_size(&mut self, a: &[VertexId], b: &[VertexId]) -> usize {
-        self.counters.bitset_counts += 1;
-        self.counters.probes += b.len() as u64;
-        let cap = a
-            .iter()
-            .chain(b.iter())
-            .map(|&v| v as usize + 1)
-            .max()
-            .unwrap_or(0);
-        self.ensure_capacity(cap);
-        self.next_epoch();
-        self.loaded = None;
-        for &v in a {
-            self.mark[v as usize] = self.epoch;
-        }
-        b.iter()
-            .filter(|&&v| self.mark[v as usize] == self.epoch)
-            .count()
-    }
+    support
 }
 
 #[cfg(test)]
@@ -356,7 +124,7 @@ mod tests {
     }
 
     #[test]
-    fn kernels_agree_on_basic_cases() {
+    fn intersection_matches_naive_on_basic_cases() {
         let cases: &[(&[VertexId], &[VertexId])] = &[
             (&[], &[]),
             (&[1], &[]),
@@ -365,84 +133,41 @@ mod tests {
             (&[1, 5, 7], &[5]),
             (&[0, 2, 4, 6, 8], &[1, 2, 3, 4, 5]),
         ];
-        let mut kernel = IntersectionKernel::new(16);
         for &(a, b) in cases {
-            let expected = naive(a, b);
-            assert_eq!(merge_intersection_size(a, b), expected);
-            assert_eq!(galloping_intersection_size(a, b), expected);
-            assert_eq!(sorted_intersection_size(a, b), expected);
-            assert_eq!(kernel.bitset_intersection_size(a, b), expected);
+            assert_eq!(sorted_intersection_size(a, b), naive(a, b));
+            assert_eq!(sorted_intersection_size(b, a), naive(a, b));
         }
     }
 
     #[test]
-    fn loaded_counts_match_plain_intersections_and_cache() {
+    fn complete_graph_k4_supports_two_everywhere() {
         let g = GraphBuilder::new()
-            .add_edges([(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 4), (4, 0)])
+            .add_edges([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
             .build();
-        let mut kernel = IntersectionKernel::new(g.num_vertices());
-        for v in g.vertices() {
-            kernel.load(&g, v);
-            assert_eq!(kernel.loaded(), Some(v));
-            for u in g.vertices() {
-                assert_eq!(kernel.cached_with_loaded(u), None);
-                let expected = sorted_intersection_size(g.neighbors(u), g.neighbors(v));
-                assert_eq!(kernel.count_with_loaded(&g, u), expected, "u={u} v={v}");
-                assert_eq!(kernel.cached_with_loaded(u), Some(expected));
-            }
-        }
+        assert_eq!(edge_support(&g), vec![2; 6]);
     }
 
     #[test]
-    fn load_invalidates_previous_cache() {
+    fn star_has_no_support() {
+        let g = GraphBuilder::new()
+            .add_edges([(0, 1), (0, 2), (0, 3), (0, 4)])
+            .build();
+        assert_eq!(edge_support(&g), vec![0; 4]);
+    }
+
+    #[test]
+    fn triangle_with_pendant_edge() {
         let g = GraphBuilder::new()
             .add_edges([(0, 1), (1, 2), (2, 0), (2, 3)])
             .build();
-        let mut kernel = IntersectionKernel::new(g.num_vertices());
-        kernel.load(&g, 0);
-        let first = kernel.count_with_loaded(&g, 2);
-        kernel.load(&g, 3);
-        assert_eq!(kernel.cached_with_loaded(2), None);
-        let second = kernel.count_with_loaded(&g, 2);
-        assert_eq!(
-            first,
-            sorted_intersection_size(g.neighbors(2), g.neighbors(0))
-        );
-        assert_eq!(
-            second,
-            sorted_intersection_size(g.neighbors(2), g.neighbors(3))
-        );
+        let support = edge_support(&g);
+        let of = |a, b| support[g.edge_id(a, b).expect("edge exists") as usize];
+        assert_eq!([of(0, 1), of(1, 2), of(0, 2), of(2, 3)], [1, 1, 1, 0]);
     }
 
     #[test]
-    fn counters_track_strategies_and_drain() {
-        let g = GraphBuilder::new()
-            .add_edges([(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 4), (4, 0)])
-            .build();
-        let mut kernel = IntersectionKernel::new(g.num_vertices());
-        kernel.load(&g, 0);
-        kernel.count_with_loaded(&g, 2);
-        kernel.count_with_loaded(&g, 2); // memoized
-        kernel.bitset_intersection_size(&[1, 2], &[2, 3]);
-        let counters = kernel.take_counters();
-        assert_eq!(counters.loads, 1);
-        assert_eq!(counters.cache_hits, 1);
-        assert_eq!(counters.mark_counts + counters.gallop_counts, 1);
-        assert_eq!(counters.bitset_counts, 1);
-        assert_eq!(counters.total_counts(), 3);
-        assert!(counters.probes > 0);
-        assert_eq!(*kernel.counters(), KernelCounters::default());
-        let mut merged = KernelCounters::default();
-        merged.merge(&counters);
-        assert_eq!(merged, counters);
-    }
-
-    #[test]
-    fn bitset_kernel_grows_capacity_on_demand() {
-        let mut kernel = IntersectionKernel::new(0);
-        assert_eq!(
-            kernel.bitset_intersection_size(&[1000, 2000], &[2000, 3000]),
-            1
-        );
+    fn empty_graph_has_empty_support() {
+        let g = GraphBuilder::new().build();
+        assert!(edge_support(&g).is_empty());
     }
 }

@@ -394,7 +394,7 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
     );
     println!("balance:            {:.4}", artifact.metrics.balance);
     println!("spanned vertices:   {}", artifact.metrics.spanned_vertices);
-    println!("time:               {:.2}s", artifact.seconds);
+    println!("time:               {:.3}s", artifact.seconds);
 
     if let Some(dir) = flags.get("out-store") {
         let manifest = write_partition_store(Path::new(dir), graph, &artifact.partition)

@@ -125,13 +125,17 @@ fn kernel_and_scoring_counters_surface_for_the_paper_algorithm() {
         "round.select",
         "round.edges",
         "scoring.rescored",
-        "kernel.load",
+        "stage2.bucket_visit",
     ] {
         assert!(
             counter_total(&events, counter) > 0,
             "tlp run emitted no {counter} counts"
         );
     }
+    assert!(
+        !span_opens(&events, "support").is_empty(),
+        "tlp run opened no support span"
+    );
     // Every span that opens also closes, with balanced ids per trial.
     let mut open: std::collections::HashSet<(Option<u32>, u64)> = std::collections::HashSet::new();
     for event in &events {
